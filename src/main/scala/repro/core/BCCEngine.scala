@@ -58,37 +58,12 @@ final class BCCEngine(
   /** Full per-vertex butterfly recount over alive vertices (Algorithm 3). */
   def fullButterflyCount(): Unit = {
     inst.butterflyCountCalls += 1
-    inst.timeButterflyCount {
-      chi = g.butterflyDegrees(isLeft, isRight, alive)
-    }
+    inst.timeButterflyCount { chi = g.butterflyDegrees(isLeft, isRight, alive) }
     chiInitialized = true
   }
 
   /** Max butterfly degree among alive vertices of one side. */
-  def maxChi(left: Boolean): Long = {
-    var best = 0L
-    var v = 0
-    while (v < g.n) {
-      if (alive(v) && (if (left) isLeft(v) else isRight(v)) && chi(v) > best) best = chi(v)
-      v += 1
-    }
-    best
-  }
-
-  /** Alive cross-label (bipartite) neighbors of `v`, sorted. */
-  def crossNeighbors(v: Int): Array[Int] =
-    g.neighbors(v).filter(u => alive(u) && isLeft(u) != isLeft(v))
-
-  /** Size of the intersection of two sorted arrays. */
-  private[core] def intersectSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var c = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) == b(j)) { c += 1; i += 1; j += 1 }
-      else if (a(i) < b(j)) i += 1
-      else j += 1
-    }
-    c
-  }
+  def maxChi(left: Boolean): Long = BCCEngine.maxOn(chi, if (left) isLeft else isRight, alive)
 
   /** Delete `seeds` and cascade core maintenance (Algorithm 4).
     *
@@ -98,17 +73,50 @@ final class BCCEngine(
     *         removed — the engine is then no longer a valid BCC and the
     *         caller must stop using it.
     */
-  def deleteCascade(seeds: Seq[Int], onDelete: Int => Unit = _ => ()): Option[Seq[Int]] = {
+  def deleteCascade(seeds: Seq[Int], onDelete: Int => Unit = _ => ()): Option[Seq[Int]] =
+    BCCEngine.cascade(g, alive, intraDeg, kOf, v => v == ql || v == qr, seeds,
+      v => { onDelete(v); aliveCount -= 1 })
+
+  /** External ids of the currently alive vertices. */
+  def aliveIds: Set[Long] =
+    (0 until g.n).iterator.filter(alive).map(g.ids).toSet
+}
+
+object BCCEngine {
+
+  /** Max of `chi` over the vertices in `mask` that are alive (all if null). */
+  def maxOn(chi: Array[Long], mask: Array[Boolean], alive: Array[Boolean] = null): Long = {
+    var best = 0L
+    var v = 0
+    while (v < chi.length) {
+      if (mask(v) && (alive == null || alive(v)) && chi(v) > best) best = chi(v)
+      v += 1
+    }
+    best
+  }
+
+  /** Algorithm 4 over any label groups: delete `seeds`, then every alive
+    * vertex whose same-label degree `intraDeg` drops below `kOf`. Fires
+    * `onDelete(v)` just before `v` is marked dead; returns the removed
+    * vertices in order, or None as soon as an `isQuery` vertex would go.
+    */
+  def cascade(
+      g: LocalGraph,
+      alive: Array[Boolean],
+      intraDeg: Array[Int],
+      kOf: Int => Int,
+      isQuery: Int => Boolean,
+      seeds: Seq[Int],
+      onDelete: Int => Unit): Option[Seq[Int]] = {
     val queue = new java.util.ArrayDeque[Int]()
     seeds.foreach(queue.add(_))
     val removed = scala.collection.mutable.ArrayBuffer[Int]()
     while (!queue.isEmpty) {
       val v = queue.poll()
       if (alive(v)) {
-        if (v == ql || v == qr) return None
+        if (isQuery(v)) return None
         onDelete(v)
         alive(v) = false
-        aliveCount -= 1
         removed += v
         for (u <- g.neighbors(v) if alive(u) && g.labels(u) == g.labels(v)) {
           intraDeg(u) -= 1
@@ -118,8 +126,4 @@ final class BCCEngine(
     }
     Some(removed.toSeq)
   }
-
-  /** External ids of the currently alive vertices. */
-  def aliveIds: Set[Long] =
-    (0 until g.n).iterator.filter(alive).map(g.ids).toSet
 }

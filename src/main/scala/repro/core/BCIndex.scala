@@ -9,25 +9,15 @@ import repro.graph.{ButterflyCount, KCore, LabeledGraph, LocalGraph}
   * its own label-induced subgraph plus per-label-pair butterfly degrees over
   * the corresponding bipartite cross-edge graph.
   *
-  * Coreness is computed eagerly for every label; butterfly degrees are
-  * computed per label pair on first use and cached (real networks can have
-  * hundreds of labels, so the full pair matrix is built lazily).
+  * Coreness is computed eagerly, in one peel over intra-label edges;
+  * butterfly degrees are computed per label pair on first use and cached
+  * (real networks can have hundreds of labels, so the full pair matrix is
+  * built lazily).
   */
 final class BCIndex(val g: LocalGraph) {
 
   /** Coreness of every vertex within its label-induced subgraph. */
-  val coreness: Array[Int] = {
-    val out = new Array[Int](g.n)
-    for (lab <- g.labelSet) {
-      val mask = Array.tabulate(g.n)(v => g.labels(v) == lab)
-      val c = g.coreness(mask)
-      for (v <- 0 until g.n if mask(v)) out(v) = c(v)
-    }
-    out
-  }
-
-  /** Max coreness over the whole graph. */
-  val corenessMax: Int = if (g.n == 0) 0 else coreness.max
+  val coreness: Array[Int] = g.labelCoreness()
 
   private val chiCache = mutable.Map[(String, String), Array[Long]]()
 
@@ -36,11 +26,8 @@ final class BCIndex(val g: LocalGraph) {
     */
   def butterflyDegrees(labA: String, labB: String): Array[Long] = {
     val key = if (labA <= labB) (labA, labB) else (labB, labA)
-    chiCache.getOrElseUpdate(key, {
-      val left = Array.tabulate(g.n)(v => g.labels(v) == key._1)
-      val right = Array.tabulate(g.n)(v => g.labels(v) == key._2)
-      g.butterflyDegrees(left, right)
-    })
+    chiCache.getOrElseUpdate(key,
+      g.butterflyDegrees(g.labels.map(_ == key._1), g.labels.map(_ == key._2)))
   }
 }
 

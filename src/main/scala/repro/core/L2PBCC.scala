@@ -123,21 +123,15 @@ object L2PBCC {
       attempts += 1
       val mask = expand(g, path, lLab, rLab, index, curEta)
       val cand = g.induced(mask)
-      result = LocalBCC.findG0(cand, qlId, qrId, params, inst).flatMap { c =>
-        val e = new BCCEngine(c.g0, params, c.ql, c.qr, inst)
-        e.seedChi(c.chi)
-        Refine.run(e, Refine.FastLP, computeDiameter)
-      }
+      result = LocalBCC.findG0(cand, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
       curEta *= 4
     }
     // last resort: whole-graph LP-BCC (keeps quality comparable when the
     // local neighborhood cannot support the requested cores)
     result.orElse {
-      LocalBCC.findG0(g, qlId, qrId, params, inst).flatMap { c =>
-        val e = new BCCEngine(c.g0, params, c.ql, c.qr, inst)
-        e.seedChi(c.chi)
-        Refine.run(e, Refine.FastLP, computeDiameter)
-      }
+      LocalBCC.findG0(g, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
     }
   }
 }

@@ -67,22 +67,6 @@ object LeaderPair {
     * butterflies destroyed by deleting vertex `v`. Must be called while `v`
     * is still alive (adjacency current); mutates `e.chi(p)` only.
     */
-  def updateOnDeletion(e: BCCEngine, p: Int, v: Int): Unit = {
-    if (p == v || !e.alive(p) || !e.alive(v)) return
-    val sameSide = e.isLeft(p) == e.isLeft(v)
-    if (sameSide) {
-      val alpha = e.intersectSize(e.crossNeighbors(p), e.crossNeighbors(v))
-      e.chi(p) -= alpha.toLong * (alpha - 1) / 2
-    } else {
-      val nbP = e.crossNeighbors(p)
-      if (java.util.Arrays.binarySearch(nbP, v) >= 0) {
-        var beta = 0L
-        for (u <- e.crossNeighbors(v) if u != p) {
-          val common = e.intersectSize(e.crossNeighbors(u), nbP)
-          beta += common - 1
-        }
-        e.chi(p) -= beta
-      }
-    }
-  }
+  def updateOnDeletion(e: BCCEngine, p: Int, v: Int): Unit =
+    e.chi(p) -= e.g.butterfliesLost(e.isLeft, e.isRight, e.alive, p, v)
 }

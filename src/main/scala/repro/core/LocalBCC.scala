@@ -32,8 +32,10 @@ object LocalBCC {
     val lLab = g.labels(ql)
     val rLab = g.labels(qr)
 
-    val leftMask = Array.tabulate(g.n)(v => g.labels(v) == lLab)
-    val rightMask = Array.tabulate(g.n)(v => g.labels(v) == rLab)
+    val leftMask = new Array[Boolean](g.n)
+    val rightMask = new Array[Boolean](g.n)
+    var v = 0
+    while (v < g.n) { leftMask(v) = g.labels(v) == lLab; rightMask(v) = g.labels(v) == rLab; v += 1 }
     val leftCore = g.kCoreMask(params.k1, leftMask)
     if (!leftCore(ql)) return None
     val rightCore = g.kCoreMask(params.k2, rightMask)
@@ -45,14 +47,12 @@ object LocalBCC {
     // (one Algorithm 3 invocation — counted, like the paper's Table 4 does)
     inst.butterflyCountCalls += 1
     val chi = g.butterflyDegrees(leftComp, rightComp)
-    var maxL = 0L; var maxR = 0L
-    for (v <- 0 until g.n) {
-      if (leftComp(v) && chi(v) > maxL) maxL = chi(v)
-      if (rightComp(v) && chi(v) > maxR) maxR = chi(v)
-    }
-    if (maxL < params.b || maxR < params.b) return None
+    if (BCCEngine.maxOn(chi, leftComp) < params.b || BCCEngine.maxOn(chi, rightComp) < params.b)
+      return None
 
-    val keep = Array.tabulate(g.n)(v => leftComp(v) || rightComp(v))
+    val keep = new Array[Boolean](g.n)
+    v = 0
+    while (v < g.n) { keep(v) = leftComp(v) || rightComp(v); v += 1 }
     val g0 = g.induced(keep)
     val chi0 = Array.tabulate(g0.n)(v => chi(g.indexOf(g0.ids(v))))
     Some(Candidate(g0, g0.indexOf(qlId), g0.indexOf(qrId), chi0))
@@ -64,10 +64,7 @@ object LocalBCC {
   def defaultParams(g: LocalGraph, qlId: Long, qrId: Long, b: Int = 1): BCCParams = {
     val ql = g.indexOf(qlId)
     val qr = g.indexOf(qrId)
-    def labelCoreness(q: Int): Int = {
-      val mask = Array.tabulate(g.n)(v => g.labels(v) == g.labels(q))
-      g.coreness(mask)(q)
-    }
+    def labelCoreness(q: Int): Int = g.coreness(g.labels.map(_ == g.labels(q)))(q)
     BCCParams(math.max(1, labelCoreness(ql)), math.max(1, labelCoreness(qr)), b)
   }
 }

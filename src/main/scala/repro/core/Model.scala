@@ -65,8 +65,8 @@ object Model {
 
     // leader pair: one vertex per side with butterfly degree >= b
     val chi = sub.butterflyDegrees(isLeft, isRight)
-    val maxL = (0 until sub.n).filter(isLeft).map(chi).foldLeft(0L)(math.max)
-    val maxR = (0 until sub.n).filter(isRight).map(chi).foldLeft(0L)(math.max)
+    val maxL = BCCEngine.maxOn(chi, isLeft)
+    val maxR = BCCEngine.maxOn(chi, isRight)
     if (maxL < params.b) errs += s"no left leader: max chi $maxL < b=${params.b}"
     if (maxR < params.b) errs += s"no right leader: max chi $maxR < b=${params.b}"
     errs.toList

@@ -17,11 +17,8 @@ object OnlineBCC {
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
-      LocalBCC.findG0(g, qlId, qrId, params, inst).flatMap { cand =>
-        val e = new BCCEngine(cand.g0, params, cand.ql, cand.qr, inst)
-        e.seedChi(cand.chi)
-        Refine.run(e, Refine.Naive, computeDiameter)
-      }
+      LocalBCC.findG0(g, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.Naive, inst, computeDiameter))
     }
 
   /** Distributed candidate extraction (Algorithm 2 as DataFrame dataflow)
@@ -35,11 +32,8 @@ object OnlineBCC {
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
-      FindG0.find(g, qlId, qrId, params, inst).flatMap { cand =>
-        val e = new BCCEngine(cand.g0, params, cand.ql, cand.qr, inst)
-        e.seedChi(cand.chi)
-        Refine.run(e, Refine.Naive, computeDiameter)
-      }
+      FindG0.find(g, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.Naive, inst, computeDiameter))
     }
 }
 
@@ -57,11 +51,8 @@ object LPBCC {
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
-      LocalBCC.findG0(g, qlId, qrId, params, inst).flatMap { cand =>
-        val e = new BCCEngine(cand.g0, params, cand.ql, cand.qr, inst)
-        e.seedChi(cand.chi)
-        Refine.run(e, Refine.FastLP, computeDiameter)
-      }
+      LocalBCC.findG0(g, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
     }
 
   def runSpark(
@@ -72,10 +63,7 @@ object LPBCC {
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
-      FindG0.find(g, qlId, qrId, params, inst).flatMap { cand =>
-        val e = new BCCEngine(cand.g0, params, cand.ql, cand.qr, inst)
-        e.seedChi(cand.chi)
-        Refine.run(e, Refine.FastLP, computeDiameter)
-      }
+      FindG0.find(g, qlId, qrId, params, inst)
+        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
     }
 }

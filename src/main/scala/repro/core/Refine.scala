@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.eval.Instrument
 import repro.graph.LocalGraph
 
 /** The greedy refinement loop of Algorithm 1 with bulk deletion, shared by
@@ -21,6 +22,18 @@ object Refine {
   case object FastLP extends Mode
 
   private val Inf = LocalGraph.Inf
+
+  /** Run the loop on a fresh engine over candidate `c`, seeded with its count. */
+  def fromCandidate(
+      c: Candidate,
+      params: BCCParams,
+      mode: Mode,
+      inst: Instrument,
+      computeDiameter: Boolean): Option[BCCResult] = {
+    val e = new BCCEngine(c.g0, params, c.ql, c.qr, inst)
+    e.seedChi(c.chi)
+    run(e, mode, computeDiameter)
+  }
 
   /** Run the loop on a candidate engine whose initial state is a valid
     * (k1,k2,b)-BCC (cores maintained, butterfly constraint satisfiable).
@@ -44,13 +57,12 @@ object Refine {
 
     var bestMask: Array[Boolean] = null
     var bestQd = Inf
-    var lastDeleted: Seq[Int] = Nil
-    var first = true
+    var lastDeleted: Seq[Int] = Nil // empty only before the first round
     var go = true
 
     while (go) {
       inst.rounds += 1
-      if (!first) mode match {
+      if (lastDeleted.nonEmpty) mode match {
         case Naive =>
           distL = inst.timeQueryDist(g.bfs(Seq(e.ql), e.alive))
           distR = inst.timeQueryDist(g.bfs(Seq(e.qr), e.alive))
@@ -60,19 +72,17 @@ object Refine {
             FastDist.update(g, e.alive, distR, lastDeleted)
           }
       }
-      first = false
 
       if (distL(e.qr) == Inf) go = false // Q disconnected: no further BCC
       else {
         // query distance per alive vertex (Def. 5), Inf-aware
+        val qd = new Array[Int](g.n)
         var maxQd = 0
         var v = 0
         while (v < g.n) {
           if (e.alive(v)) {
-            val qd =
-              if (distL(v) == Inf || distR(v) == Inf) Inf
-              else math.max(distL(v), distR(v))
-            if (qd > maxQd || qd == Inf) maxQd = if (qd == Inf) Inf else math.max(maxQd, qd)
+            qd(v) = math.max(distL(v), distR(v)) // Inf if either side is unreachable
+            maxQd = math.max(maxQd, qd(v))
           }
           v += 1
         }
@@ -80,47 +90,31 @@ object Refine {
           bestMask = e.alive.clone()
           bestQd = maxQd
         }
-        val batch = (0 until g.n).filter { v =>
-          e.alive(v) && {
-            val qd =
-              if (distL(v) == Inf || distR(v) == Inf) Inf
-              else math.max(distL(v), distR(v))
-            qd == maxQd
-          }
-        }
+        val batch = (0 until g.n).filter(v => e.alive(v) && qd(v) == maxQd)
         if (batch.contains(e.ql) || batch.contains(e.qr)) go = false
         else {
-          val hook: Int => Unit = mode match {
-            case Naive => _ => ()
-            case FastLP =>
-              v =>
-                inst.timeLeaderUpdate {
-                  if (lLeft >= 0) LeaderPair.updateOnDeletion(e, lLeft, v)
-                  if (lRight >= 0) LeaderPair.updateOnDeletion(e, lRight, v)
-                }
-          }
+          val hook: Int => Unit =
+            if (mode == Naive) _ => ()
+            else v => inst.timeLeaderUpdate {
+              if (lLeft >= 0) LeaderPair.updateOnDeletion(e, lLeft, v)
+              if (lRight >= 0) LeaderPair.updateOnDeletion(e, lRight, v)
+            }
           e.deleteCascade(batch, hook) match {
             case None => go = false // a query vertex was peeled
             case Some(removed) =>
               lastDeleted = removed
-              mode match {
-                case Naive =>
-                  e.fullButterflyCount()
-                  if (e.maxChi(true) < e.params.b || e.maxChi(false) < e.params.b)
-                    go = false
-                case FastLP =>
-                  val leadersOk =
-                    lLeft >= 0 && e.alive(lLeft) && e.chi(lLeft) >= e.params.b &&
-                      lRight >= 0 && e.alive(lRight) && e.chi(lRight) >= e.params.b
-                  if (!leadersOk) {
-                    e.fullButterflyCount()
-                    if (e.maxChi(true) < e.params.b || e.maxChi(false) < e.params.b)
-                      go = false
-                    else {
-                      lLeft = LeaderPair.identify(e, left = true, distL)
-                      lRight = LeaderPair.identify(e, left = false, distR)
-                    }
-                  }
+              // Online recounts every round; LP only once a leader dies or
+              // drops below b, and then re-identifies the pair
+              def leadersOk: Boolean =
+                lLeft >= 0 && e.alive(lLeft) && e.chi(lLeft) >= e.params.b &&
+                  lRight >= 0 && e.alive(lRight) && e.chi(lRight) >= e.params.b
+              if (mode == Naive || !leadersOk) {
+                e.fullButterflyCount()
+                if (e.maxChi(true) < e.params.b || e.maxChi(false) < e.params.b) go = false
+                else if (mode == FastLP) {
+                  lLeft = LeaderPair.identify(e, left = true, distL)
+                  lRight = LeaderPair.identify(e, left = false, distR)
+                }
               }
           }
         }

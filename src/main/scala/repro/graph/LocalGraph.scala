@@ -114,62 +114,87 @@ final class LocalGraph(
     comp
   }
 
-  /** Coreness of every vertex via Batagelj-Zaversnik bucket peeling. */
-  def coreness(alive: Array[Boolean] = null): Array[Int] = {
-    val isAlive = if (alive == null) Array.fill(n)(true) else alive.clone()
-    val deg = Array.tabulate(n)(v => if (isAlive(v)) adj(v).count(isAlive) else -1)
-    val core = new Array[Int](n)
-    val maxDeg = if (n == 0) 0 else math.max(0, deg.max)
-    // bucket sort vertices by current degree
-    val order = (0 until n).filter(isAlive).sortBy(deg).toArray
+  /** Coreness of every vertex (Batagelj-Zaversnik peel); dead vertices get -1. */
+  def coreness(alive: Array[Boolean] = null): Array[Int] = peel(alive, sameLabel = false, Int.MaxValue)
+
+  /** Coreness within each vertex's label-induced subgraph, in one peel over
+    * intra-label edges (the coreness of a disjoint union is that of each part).
+    */
+  def labelCoreness(): Array[Int] = peel(null, sameLabel = true, Int.MaxValue)
+
+  /** Batagelj-Zaversnik peel over alive vertices, counting only same-label
+    * edges when `sameLabel`; the degree bins double as the vertex order.
+    * Stops once every vertex left has degree >= `stopAt`: peeled vertices
+    * then hold their coreness (< `stopAt`), the others a degree >= `stopAt`.
+    */
+  private def peel(alive: Array[Boolean], sameLabel: Boolean, stopAt: Int): Array[Int] = {
+    val label: Array[Int] = if (!sameLabel) null else { // interned label ids
+      val ids = mutable.HashMap[String, Int]()
+      labels.map(l => ids.getOrElseUpdate(l, ids.size))
+    }
+    val deg = new Array[Int](n) // current degree; the coreness once peeled
+    var maxDeg = 0
+    var v = 0
+    while (v < n) { deg(v) = peelDegree(alive, label, v); maxDeg = math.max(maxDeg, deg(v)); v += 1 }
+    // vertices in (degree, index) order; bin(d + 1) = start of the degree-d block
+    val bin = new Array[Int](maxDeg + 2)
+    v = 0
+    while (v < n) { if (deg(v) >= 0) bin(deg(v) + 1) += 1; v += 1 }
+    var i = 1
+    while (i <= maxDeg + 1) { bin(i) += bin(i - 1); i += 1 }
+    val order = new Array[Int](bin(maxDeg + 1))
     val pos = new Array[Int](n)
-    var i = 0
-    while (i < order.length) { pos(order(i)) = i; i += 1 }
-    val binStart = new Array[Int](maxDeg + 2)
-    for (v <- order) binStart(deg(v) + 1) += 1
-    i = 1
-    while (i < binStart.length) { binStart(i) += binStart(i - 1); i += 1 }
-    val bin = binStart.clone() // bin(d) = start index of degree-d block
+    v = n - 1
+    while (v >= 0) {
+      if (deg(v) >= 0) { bin(deg(v) + 1) -= 1; pos(v) = bin(deg(v) + 1); order(pos(v)) = v }
+      v -= 1
+    }
     i = 0
-    while (i < order.length) {
+    while (i < order.length && deg(order(i)) < stopAt) {
       val v = order(i)
-      core(v) = deg(v)
-      for (u <- adj(v) if isAlive(u) && deg(u) > deg(v)) {
-        // swap u to the front of its degree block, then decrement its degree
-        val du = deg(u)
-        val pu = pos(u)
-        val pw = bin(du)
-        val w = order(pw)
-        if (u != w) {
-          order(pu) = w; order(pw) = u
-          pos(u) = pw; pos(w) = pu
+      val ns = adj(v)
+      var j = 0
+      while (j < ns.length) {
+        val u = ns(j)
+        if (peelEdge(alive, label, v, u) && deg(u) > deg(v)) {
+          // swap u to the front of its degree block, then decrement its degree
+          val front = bin(deg(u) + 1)
+          val w = order(front)
+          order(pos(u)) = w; pos(w) = pos(u)
+          order(front) = u; pos(u) = front
+          bin(deg(u) + 1) += 1
+          deg(u) -= 1
         }
-        bin(du) += 1
-        deg(u) -= 1
+        j += 1
       }
       i += 1
     }
-    var v = 0
-    while (v < n) { if (alive != null && !alive(v)) core(v) = -1; v += 1 }
-    core
+    deg
   }
 
-  /** Mask of the maximal subgraph where every vertex has degree >= k. */
-  def kCoreMask(k: Int, alive: Array[Boolean] = null): Array[Boolean] = {
-    val keep = if (alive == null) Array.fill(n)(true) else alive.clone()
-    val deg = Array.tabulate(n)(v => if (keep(v)) adj(v).count(keep) else 0)
-    val queue = new java.util.ArrayDeque[Int]()
-    for (v <- 0 until n if keep(v) && deg(v) < k) queue.add(v)
-    while (!queue.isEmpty) {
-      val v = queue.poll()
-      if (keep(v)) {
-        keep(v) = false
-        for (u <- adj(v) if keep(u)) {
-          deg(u) -= 1
-          if (deg(u) < k) queue.add(u)
-        }
-      }
+  /** Edge v-u counts in a peel: u is alive and, given `label`, of v's label. */
+  private def peelEdge(alive: Array[Boolean], label: Array[Int], v: Int, u: Int): Boolean =
+    (alive == null || alive(u)) && (label == null || label(u) == label(v))
+
+  /** Degree of `v` at the start of a peel; -1 if `v` is dead. */
+  private def peelDegree(alive: Array[Boolean], label: Array[Int], v: Int): Int =
+    if (alive != null && !alive(v)) -1
+    else {
+      val ns = adj(v)
+      var d = 0
+      var j = 0
+      while (j < ns.length) { if (peelEdge(alive, label, v, ns(j))) d += 1; j += 1 }
+      d
     }
+
+  /** Mask of the maximal subgraph where every vertex has degree >= k: the
+    * alive vertices of coreness >= k, by a peel that stops at degree k.
+    */
+  def kCoreMask(k: Int, alive: Array[Boolean] = null): Array[Boolean] = {
+    val deg = peel(alive, sameLabel = false, stopAt = k)
+    val keep = new Array[Boolean](n)
+    var v = 0
+    while (v < n) { keep(v) = deg(v) >= 0 && deg(v) >= k; v += 1 }
     keep
   }
 
@@ -194,32 +219,157 @@ final class LocalGraph(
   }
 
   /** Per-vertex butterfly degree over the bipartite graph induced by cross
-    * edges between `left` and `right` masks (paper Algorithm 3).
+    * edges between `left` and `right` masks (paper Algorithm 3). A vertex in
+    * both masks is on the left; vertices in neither (or dead) get 0.
     *
-    * Only edges with one endpoint in `left` and the other in `right` count.
-    * Vertices outside both masks (or dead) get 0.
+    * Vertex-priority counting (Wang et al., "Vertex Priority Based Butterfly
+    * Counting for Large-scale Bipartite Networks", PVLDB 12(10), 2019): each
+    * butterfly is counted once, from its highest-ranked vertex `u` by (cross
+    * degree, index), over wedges u-mid-w with mid and w ranked below `u`. With
+    * `c` wedges ending at `w`, `u` and `w` share C(c,2) butterflies and each
+    * wedge's middle vertex is in c-1 of them.
     */
   def butterflyDegrees(
       left: Array[Boolean],
       right: Array[Boolean],
       alive: Array[Boolean] = null): Array[Long] = {
-    val chi = new Array[Long](n)
-    def ok(v: Int): Boolean = alive == null || alive(v)
-    def side(v: Int): Int = if (left(v) && ok(v)) 0 else if (right(v) && ok(v)) 1 else -1
+    def side(v: Int): Int = // 0 left, 1 right, -1 inactive
+      if (alive != null && !alive(v)) -1 else if (left(v)) 0 else if (right(v)) 1 else -1
+    // active vertices in index order; rank(v) holds v's cross degree until a
+    // counting sort on (cross degree, index) replaces it with v's rank
+    val rank = new Array[Int](n)
+    var verts = new Array[Int](16)
+    var m = 0
+    var maxDeg = 0
     var v = 0
     while (v < n) {
       val sv = side(v)
       if (sv >= 0) {
-        val paths = new mutable.LongMap[Int]() // w -> #2-hop cross paths v..w
-        for (u <- adj(v) if side(u) == 1 - sv; w <- adj(u) if side(w) == sv && w != v)
-          paths(w.toLong) = paths.getOrElse(w.toLong, 0) + 1
-        var c = 0L
-        paths.foreachValue(p => c += p.toLong * (p - 1) / 2)
-        chi(v) = c
+        val ns = adj(v)
+        var j = 0
+        while (j < ns.length) { if (side(ns(j)) == 1 - sv) rank(v) += 1; j += 1 }
+        maxDeg = math.max(maxDeg, rank(v))
+        if (m == verts.length) verts = java.util.Arrays.copyOf(verts, 2 * m)
+        verts(m) = v
+        m += 1
       }
       v += 1
     }
+    val start = new Array[Int](maxDeg + 2)
+    var i = 0
+    while (i < m) { start(rank(verts(i)) + 1) += 1; i += 1 }
+    i = 1
+    while (i <= maxDeg) { start(i) += start(i - 1); i += 1 }
+    val byRank = new Array[Int](m)
+    val off = new Array[Int](m + 1) // CSR row offsets by rank
+    i = 0
+    while (i < m) {
+      val x = verts(i)
+      val d = rank(x)
+      rank(x) = start(d); start(d) += 1; byRank(rank(x)) = x; off(rank(x) + 1) = d
+      i += 1
+    }
+    i = 0
+    while (i < m) { off(i + 1) += off(i); i += 1 }
+    // cross-edge CSR in rank space; filling rows in ascending rank order
+    // leaves every neighbour list sorted
+    val fill = java.util.Arrays.copyOf(off, m)
+    val nbr = new Array[Int](off(m))
+    i = 0
+    while (i < m) {
+      val x = byRank(i)
+      val ns = adj(x)
+      var j = 0
+      while (j < ns.length) {
+        if (side(ns(j)) == 1 - side(x)) { val r = rank(ns(j)); nbr(fill(r)) = i; fill(r) += 1 }
+        j += 1
+      }
+      i += 1
+    }
+    val count = new Array[Int](m)
+    val touched = new Array[Int](m)
+    val chiR = new Array[Long](m)
+    var u = 0
+    while (u < m) {
+      var nt = 0
+      var a = off(u)
+      while (a < off(u + 1) && nbr(a) < u) { // wedges u-mid-w, mid and w below u
+        val mid = nbr(a)
+        var b = off(mid)
+        while (b < off(mid + 1) && nbr(b) < u) {
+          val w = nbr(b)
+          if (count(w) == 0) { touched(nt) = w; nt += 1 }
+          count(w) += 1
+          b += 1
+        }
+        a += 1
+      }
+      a = off(u)
+      while (nt > 0 && a < off(u + 1) && nbr(a) < u) { // credit the middles
+        val mid = nbr(a)
+        var b = off(mid)
+        while (b < off(mid + 1) && nbr(b) < u) { chiR(mid) += count(nbr(b)) - 1; b += 1 }
+        a += 1
+      }
+      while (nt > 0) { // credit the ends, resetting the counter
+        nt -= 1
+        val w = touched(nt)
+        val pairs = count(w).toLong * (count(w) - 1) / 2
+        chiR(u) += pairs; chiR(w) += pairs
+        count(w) = 0
+      }
+      u += 1
+    }
+    val chi = new Array[Long](n)
+    i = 0
+    while (i < m) { chi(byRank(i)) = chiR(i); i += 1 }
     chi
+  }
+
+  /** Butterflies through `p` lost when `v` is deleted, over the cross-edge
+    * graph of [[butterflyDegrees]] (paper Algorithm 7); 0 unless `p` and `v`
+    * are distinct active vertices. Call it while `v` is still alive. Same
+    * side: C(alpha,2), alpha = their common cross neighbours. Cross side (v
+    * adjacent to p): each other cross neighbour u of v closes |N(u) ∩ N(p)| - 1.
+    * Sorted adjacency arrays are merged with the cross test inline.
+    */
+  def butterfliesLost(
+      left: Array[Boolean],
+      right: Array[Boolean],
+      alive: Array[Boolean],
+      p: Int,
+      v: Int): Long = {
+    def side(x: Int): Int =
+      if (alive != null && !alive(x)) -1 else if (left(x)) 0 else if (right(x)) 1 else -1
+    // |{x in adj(a) ∩ adj(b) : side(x) == s}|
+    def common(a: Int, b: Int, s: Int): Int = {
+      val na = adj(a); val nb = adj(b)
+      var i = 0; var j = 0; var c = 0
+      while (i < na.length && j < nb.length) {
+        val x = na(i); val y = nb(j)
+        if (x == y) { if (side(x) == s) c += 1; i += 1; j += 1 }
+        else if (x < y) i += 1
+        else j += 1
+      }
+      c
+    }
+    val sp = side(p)
+    val sv = side(v)
+    if (p == v || sp < 0 || sv < 0) 0L
+    else if (sp == sv) {
+      val alpha = common(p, v, 1 - sp).toLong
+      alpha * (alpha - 1) / 2
+    } else if (hasEdge(p, v)) {
+      var beta = 0L
+      val ns = adj(v)
+      var j = 0
+      while (j < ns.length) {
+        val u = ns(j)
+        if (u != p && side(u) == sp) beta += common(u, p, sv) - 1
+        j += 1
+      }
+      beta
+    } else 0L
   }
 
   /** Edge support: number of triangles through each canonical edge (u < v). */

@@ -94,14 +94,18 @@ class BCCEngineSpec extends AnyFunSuite {
     assert(e.inst.butterflyCountCalls == 0)
   }
 
-  test("crossNeighbors filters by side and liveness") {
+  test("leader updates see only alive cross neighbours") {
+    // 0 and 1 share the cross neighbours 2 and 3 (one butterfly); the
+    // intra-label edges 0-1 and 2-3 are not cross edges
     val g = LocalGraph(
       Seq((0L, "A"), (1L, "A"), (2L, "B"), (3L, "B")),
-      Seq((0L, 1L), (0L, 2L), (0L, 3L)))
+      Seq((0L, 1L), (2L, 3L), (0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
-    assert(e.crossNeighbors(0).toSeq.map(g.ids) == Seq(2L, 3L))
+    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 1L)
+    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 2) == 1L)
     e.deleteCascade(Seq(g.indexOf(3L)))
-    assert(e.crossNeighbors(0).toSeq.map(g.ids) == Seq(2L))
+    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 0L)
+    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 3) == 0L) // dead
   }
 
   test("aliveIds tracks deletions") {

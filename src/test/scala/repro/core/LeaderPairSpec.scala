@@ -1,9 +1,12 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.data.GraphGen
 import repro.eval.Instrument
+import repro.graph.{GraphGens, LocalGraph}
 
 /** Property tests for Algorithms 6-7: the incremental leader butterfly
   * update must track the exact recount through arbitrary deletion
@@ -39,6 +42,44 @@ class LeaderPairSpec extends AnyFunSuite {
         assert(e.chi(lR) == ref(lR), s"right leader after deleting $v")
       }
     }
+
+  /** A random graph with a random leader `p` among the masks' active
+    * vertices and a random deletion order of the other vertices.
+    */
+  private def leaderCase(labels: Int): Gen[(LocalGraph, Int, List[Int])] = for {
+    g <- GraphGens.graphOn(Gen.const(labels)).suchThat(g => g.labelSet("L0") && g.labelSet("L1"))
+    p <- Gen.oneOf((0 until g.n).filter(v => g.labels(v) == "L0" || g.labels(v) == "L1"))
+    seed <- Gen.long
+    order = new Random(seed).shuffle((0 until g.n).filter(_ != p).toList)
+  } yield (g, p, order)
+
+  test("property: Algorithm 7 on a BCCEngine equals a recount after every deletion") {
+    GraphGens.check(forAll(leaderCase(labels = 2)) { case (g, p, order) =>
+      val qr = (0 until g.n).find(v => g.labels(v) != g.labels(p)).get
+      val e = new BCCEngine(g, BCCParams(0, 0, 1), p, qr, new Instrument)
+      e.fullButterflyCount()
+      order.forall { v =>
+        LeaderPair.updateOnDeletion(e, p, v)
+        e.alive(v) = false
+        e.chi(p) == g.butterflyDegrees(e.isLeft, e.isRight, e.alive)(p)
+      } :| s"leader $p"
+    })
+  }
+
+  test("property: Algorithm 7 on an m = 3 label pair equals a recount after every deletion") {
+    GraphGens.check(forAll(leaderCase(labels = 3)) { case (g, p, order) =>
+      // the pair (L0, L1) of a 3-label graph, as MultiBCC tracks it
+      val a = GraphGens.labelMask(g, "L0")
+      val b = GraphGens.labelMask(g, "L1")
+      val alive = Array.fill(g.n)(true)
+      var chi = g.butterflyDegrees(a, b, alive)(p)
+      order.forall { v =>
+        chi -= g.butterfliesLost(a, b, alive, p, v)
+        alive(v) = false
+        chi == g.butterflyDegrees(a, b, alive)(p)
+      } :| s"leader $p"
+    })
+  }
 
   for (seed <- 1 to 10)
     test(s"identified leader meets the butterfly threshold when possible, seed=$seed") {

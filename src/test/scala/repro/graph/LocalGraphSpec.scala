@@ -1,5 +1,7 @@
 package repro.graph
 
+import org.scalacheck.Gen
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.GraphGen
 
@@ -222,6 +224,59 @@ class LocalGraphSpec extends AnyFunSuite {
     val right = left.map(!_)
     val alive = Array(true, true, true, false)
     assert(g.butterflyDegrees(left, right, alive).forall(_ == 0L))
+  }
+
+  test("property: butterfly degrees match brute force on 2-4 labels, alive masks and hubs") {
+    GraphGens.check(forAll(GraphGens.labeledGraph.flatMap(g => GraphGens.aliveMask(g.n).map((g, _)))) {
+      case (g, alive) =>
+        val live = (v: Int) => alive == null || alive(v)
+        val left = Array.tabulate(g.n)(v => g.labels(v) == "L0" && live(v))
+        val right = Array.tabulate(g.n)(v => g.labels(v) == "L1" && live(v))
+        val got = g.butterflyDegrees(GraphGens.labelMask(g, "L0"), GraphGens.labelMask(g, "L1"), alive)
+        (got.toSeq == refButterflies(g, left, right).toSeq) :| s"chi ${got.toSeq}"
+    })
+  }
+
+  test("property: a vertex in both masks counts on the left") {
+    val masks = for {
+      g <- GraphGens.labeledGraph
+      l <- Gen.listOfN(g.n, Gen.prob(0.5))
+      r <- Gen.listOfN(g.n, Gen.prob(0.6))
+    } yield (g, l.toArray, r.toArray)
+    GraphGens.check(forAll(masks) { case (g, l, r) =>
+      val rightOnly = Array.tabulate(g.n)(v => r(v) && !l(v))
+      (g.butterflyDegrees(l, r).toSeq == refButterflies(g, l, rightOnly).toSeq) :| "overlap"
+    })
+  }
+
+  test("property: labelCoreness and masked coreness match the reference per label") {
+    GraphGens.check(forAll(GraphGens.labeledGraph) { g =>
+      val got = g.labelCoreness()
+      g.labelSet.forall { lab =>
+        val mask = GraphGens.labelMask(g, lab)
+        val ref = refCoreness(g.induced(mask)).toSeq // induced keeps vertex order
+        val masked = g.coreness(mask)
+        (0 until g.n).filter(mask).map(got) == ref && (0 until g.n).filter(mask).map(masked) == ref
+      } :| s"labelCoreness ${got.toSeq}"
+    })
+  }
+
+  test("property: kCoreMask equals repeated removal of low-degree vertices") {
+    val cases = for {
+      g <- GraphGens.labeledGraph
+      alive <- GraphGens.aliveMask(g.n)
+      k <- Gen.choose(0, 5)
+    } yield (g, alive, k)
+    GraphGens.check(forAll(cases) { case (g, alive, k) =>
+      val ref = Array.tabulate(g.n)(v => alive == null || alive(v))
+      var changed = true
+      while (changed) {
+        val drop = (0 until g.n).filter(v => ref(v) && g.neighbors(v).count(ref) < k)
+        drop.foreach(ref(_) = false)
+        changed = drop.nonEmpty
+      }
+      (g.kCoreMask(k, alive).toSeq == ref.toSeq) :| s"k=$k"
+    })
   }
 
   test("edge support of K4 is 2 on every edge") {
