@@ -24,21 +24,31 @@ final class BCCEngine(
 
   val leftLabel: String = g.labels(ql)
   val rightLabel: String = g.labels(qr)
-  val isLeft: Array[Boolean] = Array.tabulate(g.n)(v => g.labels(v) == leftLabel)
-  val isRight: Array[Boolean] = Array.tabulate(g.n)(v => g.labels(v) == rightLabel)
-
-  val alive: Array[Boolean] = Array.fill(g.n)(true)
+  val isLeft: Array[Boolean] = new Array[Boolean](g.n)
+  val isRight: Array[Boolean] = new Array[Boolean](g.n)
+  val alive: Array[Boolean] = new Array[Boolean](g.n)
+  locally {
+    var v = 0
+    while (v < g.n) {
+      isLeft(v) = g.labels(v) == leftLabel
+      isRight(v) = g.labels(v) == rightLabel
+      alive(v) = true
+      v += 1
+    }
+  }
   var aliveCount: Int = g.n
 
+  /** True for the two query vertices. */
+  val isQuery: Int => Boolean = v => v == ql || v == qr
+
   /** Degree towards alive same-label neighbors (the per-side core degree). */
-  val intraDeg: Array[Int] =
-    Array.tabulate(g.n)(v => g.neighbors(v).count(u => g.labels(u) == g.labels(v)))
+  val intraDeg: Array[Int] = BCCEngine.intraDegrees(g)
 
   /** Butterfly degrees from the last full count (Algorithm 3); entries for
     * leader vertices are kept exact between counts via Algorithm 7, others
     * may go stale until the next full count.
     */
-  var chi: Array[Long] = Array.fill(g.n)(0L)
+  var chi: Array[Long] = new Array[Long](g.n)
 
   /** True once `chi` holds a real count (seeded from Algorithm 2 or set by
     * [[fullButterflyCount]]).
@@ -73,8 +83,8 @@ final class BCCEngine(
     *         removed — the engine is then no longer a valid BCC and the
     *         caller must stop using it.
     */
-  def deleteCascade(seeds: Seq[Int], onDelete: Int => Unit = _ => ()): Option[Seq[Int]] =
-    BCCEngine.cascade(g, alive, intraDeg, kOf, v => v == ql || v == qr, seeds,
+  def deleteCascade(seeds: Array[Int], onDelete: Int => Unit = _ => ()): Option[Array[Int]] =
+    BCCEngine.cascade(g, alive, intraDeg, kOf, isQuery, seeds,
       v => { onDelete(v); aliveCount -= 1 })
 
   /** External ids of the currently alive vertices. */
@@ -84,15 +94,31 @@ final class BCCEngine(
 
 object BCCEngine {
 
-  /** Max of `chi` over the vertices in `mask` that are alive (all if null). */
+  /** Max of `chi` over the vertices in `mask` (all if null) that are alive
+    * (all if null); 0 when there is none.
+    */
   def maxOn(chi: Array[Long], mask: Array[Boolean], alive: Array[Boolean] = null): Long = {
     var best = 0L
     var v = 0
     while (v < chi.length) {
-      if (mask(v) && (alive == null || alive(v)) && chi(v) > best) best = chi(v)
+      if ((mask == null || mask(v)) && (alive == null || alive(v)) && chi(v) > best) best = chi(v)
       v += 1
     }
     best
+  }
+
+  /** Number of same-label neighbours of every vertex (the per-side core degree). */
+  def intraDegrees(g: LocalGraph): Array[Int] = {
+    val deg = new Array[Int](g.n)
+    var v = 0
+    while (v < g.n) {
+      val lab = g.labels(v)
+      val ns = g.neighbors(v)
+      var j = 0
+      while (j < ns.length) { if (g.labels(ns(j)) == lab) deg(v) += 1; j += 1 }
+      v += 1
+    }
+    deg
   }
 
   /** Algorithm 4 over any label groups: delete `seeds`, then every alive
@@ -106,24 +132,41 @@ object BCCEngine {
       intraDeg: Array[Int],
       kOf: Int => Int,
       isQuery: Int => Boolean,
-      seeds: Seq[Int],
-      onDelete: Int => Unit): Option[Seq[Int]] = {
-    val queue = new java.util.ArrayDeque[Int]()
-    seeds.foreach(queue.add(_))
-    val removed = scala.collection.mutable.ArrayBuffer[Int]()
-    while (!queue.isEmpty) {
-      val v = queue.poll()
+      seeds: Array[Int],
+      onDelete: Int => Unit): Option[Array[Int]] = {
+    // FIFO queue; a vertex re-enters each time its degree drops while below k
+    var queue = java.util.Arrays.copyOf(seeds, math.max(16, 2 * seeds.length))
+    var head = 0
+    var tail = seeds.length
+    var removed = new Array[Int](queue.length)
+    var nRemoved = 0
+    while (head < tail) {
+      val v = queue(head)
+      head += 1
       if (alive(v)) {
         if (isQuery(v)) return None
         onDelete(v)
         alive(v) = false
-        removed += v
-        for (u <- g.neighbors(v) if alive(u) && g.labels(u) == g.labels(v)) {
-          intraDeg(u) -= 1
-          if (intraDeg(u) < kOf(u)) queue.add(u)
+        if (nRemoved == removed.length) removed = java.util.Arrays.copyOf(removed, 2 * nRemoved)
+        removed(nRemoved) = v
+        nRemoved += 1
+        val lab = g.labels(v)
+        val ns = g.neighbors(v)
+        var j = 0
+        while (j < ns.length) {
+          val u = ns(j)
+          if (alive(u) && g.labels(u) == lab) {
+            intraDeg(u) -= 1
+            if (intraDeg(u) < kOf(u)) {
+              if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+              queue(tail) = u
+              tail += 1
+            }
+          }
+          j += 1
         }
       }
     }
-    Some(removed.toSeq)
+    Some(java.util.Arrays.copyOf(removed, nRemoved))
   }
 }

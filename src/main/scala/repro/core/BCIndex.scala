@@ -9,26 +9,44 @@ import repro.graph.{ButterflyCount, KCore, LabeledGraph, LocalGraph}
   * its own label-induced subgraph plus per-label-pair butterfly degrees over
   * the corresponding bipartite cross-edge graph.
   *
-  * Coreness is computed eagerly, in one peel over intra-label edges;
-  * butterfly degrees are computed per label pair on first use and cached
-  * (real networks can have hundreds of labels, so the full pair matrix is
-  * built lazily).
+  * Coreness is the graph's own [[LocalGraph.labelCoreness]] array (one peel
+  * over intra-label edges, shared with Algorithm 2 and the parameter
+  * defaults); butterfly degrees are computed per label pair on first use and
+  * cached with their maximum (real networks can have hundreds of labels, so
+  * the full pair matrix is built lazily).
   */
 final class BCIndex(val g: LocalGraph) {
 
   /** Coreness of every vertex within its label-induced subgraph. */
   val coreness: Array[Int] = g.labelCoreness()
 
-  private val chiCache = mutable.Map[(String, String), Array[Long]]()
+  /** Largest label coreness (0 on an empty graph). */
+  val maxCoreness: Int = {
+    var best = 0
+    var v = 0
+    while (v < coreness.length) { best = math.max(best, coreness(v)); v += 1 }
+    best
+  }
+
+  private final class Pair(val chi: Array[Long], val max: Long)
+
+  private val pairCache = mutable.Map[(String, String), Pair]()
+
+  private def pair(labA: String, labB: String): Pair = {
+    val key = if (labA <= labB) (labA, labB) else (labB, labA)
+    pairCache.getOrElseUpdate(key, {
+      val chi = g.butterflyDegrees(g.labels.map(_ == key._1), g.labels.map(_ == key._2))
+      new Pair(chi, BCCEngine.maxOn(chi, null))
+    })
+  }
 
   /** Butterfly degree of every vertex over the bipartite graph between the
     * two labels (0 for vertices of other labels). Cached per pair.
     */
-  def butterflyDegrees(labA: String, labB: String): Array[Long] = {
-    val key = if (labA <= labB) (labA, labB) else (labB, labA)
-    chiCache.getOrElseUpdate(key,
-      g.butterflyDegrees(g.labels.map(_ == key._1), g.labels.map(_ == key._2)))
-  }
+  def butterflyDegrees(labA: String, labB: String): Array[Long] = pair(labA, labB).chi
+
+  /** Largest butterfly degree between the two labels (0 when there is none). */
+  def maxButterflyDegree(labA: String, labB: String): Long = pair(labA, labB).max
 }
 
 object BCIndex {

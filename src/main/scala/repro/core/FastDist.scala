@@ -19,29 +19,41 @@ object FastDist {
       g: LocalGraph,
       alive: Array[Boolean],
       dist: Array[Int],
-      deleted: Seq[Int]): Unit = {
+      deleted: Array[Int]): Unit = {
     if (deleted.isEmpty) return
     var dMin = LocalGraph.Inf
-    for (v <- deleted) if (dist(v) < dMin) dMin = dist(v)
-    for (v <- deleted) dist(v) = LocalGraph.Inf
+    var i = 0
+    while (i < deleted.length) { dMin = math.min(dMin, dist(deleted(i))); i += 1 }
+    i = 0
+    while (i < deleted.length) { dist(deleted(i)) = LocalGraph.Inf; i += 1 }
     if (dMin == LocalGraph.Inf) return // only unreachable vertices died
 
     // S_u: alive vertices with old dist > dMin -> unknown; S_s: == dMin
-    val queue = new java.util.ArrayDeque[Int]()
+    val queue = new Array[Int](g.n) // a vertex enters once: in S_s, or when reached
+    var tail = 0
     var v = 0
     while (v < g.n) {
       if (alive(v)) {
         if (dist(v) > dMin && dist(v) != LocalGraph.Inf) dist(v) = LocalGraph.Inf
-        if (dist(v) == dMin) queue.add(v)
+        if (dist(v) == dMin) { queue(tail) = v; tail += 1 }
       }
       v += 1
     }
-    while (!queue.isEmpty) {
-      val u = queue.poll()
+    var head = 0
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
       val du = dist(u)
-      for (w <- g.neighbors(u) if alive(w) && dist(w) == LocalGraph.Inf) {
-        dist(w) = du + 1
-        queue.add(w)
+      val ns = g.neighbors(u)
+      var j = 0
+      while (j < ns.length) {
+        val w = ns(j)
+        if (alive(w) && dist(w) == LocalGraph.Inf) {
+          dist(w) = du + 1
+          queue(tail) = w
+          tail += 1
+        }
+        j += 1
       }
     }
   }

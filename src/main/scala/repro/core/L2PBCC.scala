@@ -32,25 +32,37 @@ object L2PBCC {
       src: Int,
       dst: Int,
       delta: Array[Int],
+      maxDelta: Int,
       chi: Array[Long],
+      maxChi: Long,
       gamma1: Double,
       gamma2: Double): Option[List[Int]] = {
-    val deltaMax = math.max(1, delta.max)
-    val chiMax = math.max(1L, if (chi.isEmpty) 1L else chi.max).toDouble
+    val deltaMax = math.max(1, maxDelta)
+    val chiMax = math.max(1L, maxChi).toDouble
     def cost(v: Int): Double =
       1.0 + gamma1 * (deltaMax - delta(v)).toDouble / deltaMax +
         gamma2 * (chiMax - chi(v)) / chiMax
-    val dist = Array.fill(g.n)(Double.PositiveInfinity)
-    val prev = Array.fill(g.n)(-1)
+    val dist = new Array[Double](g.n)
+    java.util.Arrays.fill(dist, Double.PositiveInfinity)
+    val prev = new Array[Int](g.n)
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
     dist(src) = 0.0
     pq.enqueue((0.0, src))
-    while (pq.nonEmpty) {
+    // costs are positive, so once dst is settled its prev chain is final
+    var settled = false
+    while (!settled && pq.nonEmpty) {
       val (d, u) = pq.dequeue()
       if (d <= dist(u)) {
-        for (w <- g.neighbors(u)) {
-          val nd = d + cost(w)
-          if (nd < dist(w)) { dist(w) = nd; prev(w) = u; pq.enqueue((nd, w)) }
+        if (u == dst) settled = true
+        else {
+          val ns = g.neighbors(u)
+          var j = 0
+          while (j < ns.length) {
+            val w = ns(j)
+            val nd = d + cost(w)
+            if (nd < dist(w)) { dist(w) = nd; prev(w) = u; pq.enqueue((nd, w)) }
+            j += 1
+          }
         }
       }
     }
@@ -78,7 +90,7 @@ object L2PBCC {
     def admissible(v: Int): Boolean =
       (g.labels(v) == lLab && index.coreness(v) >= kl) ||
         (g.labels(v) == rLab && index.coreness(v) >= kr)
-    val in = Array.fill(g.n)(false)
+    val in = new Array[Boolean](g.n)
     val queue = new java.util.ArrayDeque[Int]()
     var count = 0
     for (v <- path if !in(v)) { in(v) = true; count += 1; queue.add(v) }
@@ -112,7 +124,8 @@ object L2PBCC {
     val rLab = g.labels(qr)
     val chi = index.butterflyDegrees(lLab, rLab)
 
-    val path = weightedPath(g, ql, qr, index.coreness, chi, gamma1, gamma2)
+    val path = weightedPath(g, ql, qr, index.coreness, index.maxCoreness, chi,
+      index.maxButterflyDegree(lLab, rLab), gamma1, gamma2)
       .getOrElse(return None)
 
     // grow eta if the capped candidate cannot support the parameters

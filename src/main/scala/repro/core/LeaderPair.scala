@@ -38,7 +38,9 @@ object LeaderPair {
     var bp = bMax / 2.0
     var found = false
     if (e.chi(p) >= bp) found = true
-    while (!found && bp >= e.params.b) {
+    // chi is an integer, so thresholds below 1 add nothing; stopping there
+    // also ends the search when b = 0 (halving would never drop below b)
+    while (!found && bp >= math.max(e.params.b, 1)) {
       var d = 1
       while (!found && d <= rho) {
         var v = 0

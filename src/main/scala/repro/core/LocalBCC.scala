@@ -16,9 +16,10 @@ final case class Candidate(g0: LocalGraph, ql: Int, qr: Int, chi: Array[Long])
 object LocalBCC {
 
   /** Find the maximal connected (k1,k2,b)-BCC candidate `G0` containing the
-    * queries (Algorithm 2): per-label k-core peel, keep the component of
-    * each query, bipartite butterfly check, then return the induced
-    * candidate as a re-indexed graph plus the queries' new indices.
+    * queries (Algorithm 2): the component of each query in the k-core of its
+    * label-induced subgraph (one BFS over label coreness each), the induced
+    * candidate re-indexed in vertex order, then the bipartite butterfly check
+    * on it. Work is proportional to `G0`, not to `g`.
     */
   def findG0(
       g: LocalGraph,
@@ -29,42 +30,43 @@ object LocalBCC {
     val ql = g.indexOf.getOrElse(qlId, return None)
     val qr = g.indexOf.getOrElse(qrId, return None)
     if (g.labels(ql) == g.labels(qr)) return None
-    val lLab = g.labels(ql)
-    val rLab = g.labels(qr)
-
-    val leftMask = new Array[Boolean](g.n)
-    val rightMask = new Array[Boolean](g.n)
-    var v = 0
-    while (v < g.n) { leftMask(v) = g.labels(v) == lLab; rightMask(v) = g.labels(v) == rLab; v += 1 }
-    val leftCore = g.kCoreMask(params.k1, leftMask)
-    if (!leftCore(ql)) return None
-    val rightCore = g.kCoreMask(params.k2, rightMask)
-    if (!rightCore(qr)) return None
-    val leftComp = g.componentOf(ql, leftCore)
-    val rightComp = g.componentOf(qr, rightCore)
+    val leftComp = g.labelCoreComponent(ql, params.k1)
+    if (leftComp.isEmpty) return None
+    val rightComp = g.labelCoreComponent(qr, params.k2)
+    if (rightComp.isEmpty) return None
+    val (g0, verts) = candidateGraph(g, Seq(leftComp, rightComp))
 
     // butterfly constraint on the bipartite graph between the two components
     // (one Algorithm 3 invocation — counted, like the paper's Table 4 does)
+    val lLab = g.labels(ql)
+    val rLab = g.labels(qr)
+    val isLeft = new Array[Boolean](g0.n)
+    val isRight = new Array[Boolean](g0.n)
+    var v = 0
+    while (v < g0.n) { isLeft(v) = g0.labels(v) == lLab; isRight(v) = g0.labels(v) == rLab; v += 1 }
     inst.butterflyCountCalls += 1
-    val chi = g.butterflyDegrees(leftComp, rightComp)
-    if (BCCEngine.maxOn(chi, leftComp) < params.b || BCCEngine.maxOn(chi, rightComp) < params.b)
+    val chi = g0.butterflyDegrees(isLeft, isRight)
+    if (BCCEngine.maxOn(chi, isLeft) < params.b || BCCEngine.maxOn(chi, isRight) < params.b)
       return None
+    def at(v: Int): Int = java.util.Arrays.binarySearch(verts, v) // v's index in G0
+    Some(Candidate(g0, at(ql), at(qr), chi))
+  }
 
-    val keep = new Array[Boolean](g.n)
-    v = 0
-    while (v < g.n) { keep(v) = leftComp(v) || rightComp(v); v += 1 }
-    val g0 = g.induced(keep)
-    val chi0 = Array.tabulate(g0.n)(v => chi(g.indexOf(g0.ids(v))))
-    Some(Candidate(g0, g0.indexOf(qlId), g0.indexOf(qrId), chi0))
+  /** The subgraph induced by the union of disjoint vertex sets, re-indexed in
+    * vertex order, and its vertices (ascending: `g0` vertex `i` is `verts(i)`).
+    */
+  private[core] def candidateGraph(g: LocalGraph, parts: Seq[Array[Int]]): (LocalGraph, Array[Int]) = {
+    val verts = Array.concat(parts: _*)
+    java.util.Arrays.sort(verts)
+    (g.inducedOn(verts), verts)
   }
 
   /** Paper default parameters: k1/k2 = coreness of each query within its
-    * label-induced subgraph, butterfly threshold `b`.
+    * label-induced subgraph (two lookups in [[LocalGraph.labelCoreness]]),
+    * butterfly threshold `b`.
     */
   def defaultParams(g: LocalGraph, qlId: Long, qrId: Long, b: Int = 1): BCCParams = {
-    val ql = g.indexOf(qlId)
-    val qr = g.indexOf(qrId)
-    def labelCoreness(q: Int): Int = g.coreness(g.labels.map(_ == g.labels(q)))(q)
-    BCCParams(math.max(1, labelCoreness(ql)), math.max(1, labelCoreness(qr)), b)
+    val core = g.labelCoreness()
+    BCCParams(math.max(1, core(g.indexOf(qlId))), math.max(1, core(g.indexOf(qrId))), b)
   }
 }

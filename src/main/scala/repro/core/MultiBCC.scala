@@ -44,28 +44,44 @@ object MultiBCC {
       inst: Instrument = new Instrument,
       fast: Boolean = false): Option[MBCCResult] = inst.timeTotal {
     require(queryIds.length >= 2 && queryIds.length == ks.length, "mBCC needs m >= 2 queries")
-    val qs = queryIds.map(id => g.indexOf.getOrElse(id, return None))
-    val labs = qs.map(g.labels)
+    val qg = queryIds.map(id => g.indexOf.getOrElse(id, return None))
+    val labs = qg.map(g.labels)
     if (labs.distinct.length != labs.length) return None
     val m = labs.length
 
-    // G0: per-label k_i-core component containing q_i (Alg. 9 line 1)
-    val masks = (0 until m).map { i =>
-      val mask = Array.tabulate(g.n)(v => g.labels(v) == labs(i))
-      val core = g.kCoreMask(ks(i), mask)
-      if (!core(qs(i))) return None
-      g.componentOf(qs(i), core)
+    // G0: per-label k_i-core component containing q_i (Alg. 9 line 1),
+    // induced and re-indexed; the search runs on it, not on g
+    val comps = (0 until m).map { i =>
+      val c = g.labelCoreComponent(qg(i), ks(i))
+      if (c.isEmpty) return None
+      c
     }
-    val alive = Array.tabulate(g.n)(v => masks.exists(_(v)))
+    val (g0, verts) = LocalBCC.candidateGraph(g, comps)
+    val n = g0.n
+    val qs = qg.map(java.util.Arrays.binarySearch(verts, _))
+    val isQuery = new Array[Boolean](n)
+    qs.foreach(isQuery(_) = true)
+    // label group of each vertex; every G0 vertex of labs(i) is in comps(i)
+    val group = new Array[Int](n)
+    val masks = Array.fill(m)(new Array[Boolean](n))
+    val alive = new Array[Boolean](n)
+    var v = 0
+    while (v < n) {
+      group(v) = labs.indexOf(g0.labels(v))
+      masks(group(v))(v) = true
+      alive(v) = true
+      v += 1
+    }
     val pairIdx = for (i <- 0 until m; j <- i + 1 until m) yield (i, j)
 
     // Per-pair butterfly check: the max-chi vertex on each side of the
     // bipartite graph between two groups (over `alive`), valid if both >= b
-    def pairLeaders(i: Int, j: Int): PairState = {
-      val chi = g.butterflyDegrees(masks(i), masks(j), alive)
+    def pairLeaders(p: Int): PairState = {
+      val (i, j) = pairIdx(p)
+      val chi = g0.butterflyDegrees(masks(i), masks(j), alive)
       var (la, ca, lb, cb) = (-1, -1L, -1, -1L)
       var v = 0
-      while (v < g.n) {
+      while (v < n) {
         if (alive(v)) {
           if (masks(i)(v) && chi(v) > ca) { la = v; ca = chi(v) }
           if (masks(j)(v) && chi(v) > cb) { lb = v; cb = chi(v) }
@@ -74,95 +90,91 @@ object MultiBCC {
       }
       new PairState(la, ca, lb, cb, valid = ca >= b && cb >= b)
     }
-    def recountPair(i: Int, j: Int): PairState = {
+    def recountPair(p: Int): PairState = {
       inst.butterflyCountCalls += 1
-      inst.timeButterflyCount(pairLeaders(i, j))
+      inst.timeButterflyCount(pairLeaders(p))
     }
     // Cross-group connectivity (Def. 7): union-find over the label
     // meta-graph, checking a pair only while its groups are apart
-    def connected(pairOk: (Int, Int) => Boolean): Boolean = {
+    def connected(pairOk: Int => Boolean): Boolean = {
       val parent = Array.tabulate(m)(identity)
       def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); parent(x) = r; r }
-      for ((i, j) <- pairIdx if find(i) != find(j) && pairOk(i, j)) parent(find(i)) = find(j)
+      for (p <- pairIdx.indices) {
+        val (i, j) = pairIdx(p)
+        if (find(i) != find(j) && pairOk(p)) parent(find(i)) = find(j)
+      }
       (0 until m).map(find).distinct.size == 1
     }
-    if (!connected(pairLeaders(_, _).valid)) return None
+    if (!connected(pairLeaders(_).valid)) return None
 
-    val intraDeg = Array.tabulate(g.n)(v =>
-      if (alive(v)) g.neighbors(v).count(u => alive(u) && g.labels(u) == g.labels(v)) else 0)
-    val kOf: Int => Int = v => ks(labs.indexOf(g.labels(v)))
+    val intraDeg = BCCEngine.intraDegrees(g0)
+    val kOf: Int => Int = v => ks(group(v))
 
-    // fast-mode state: per-pair leaders tracked with Algorithm 7 updates
-    val pairState = scala.collection.mutable.Map[(Int, Int), PairState]()
-    val pairStale = scala.collection.mutable.Set[(Int, Int)]()
-    if (fast) for ((i, j) <- pairIdx) pairState((i, j)) = recountPair(i, j)
+    // fast-mode state: per-pair leaders tracked with Algorithm 7 updates,
+    // indexed like `pairIdx`
+    val pairState: Array[PairState] =
+      if (fast) Array.tabulate(pairIdx.length)(recountPair) else null
+    val pairStale = new Array[Boolean](pairIdx.length)
 
     def metaConnected(): Boolean =
-      if (!fast) connected(pairLeaders(_, _).valid)
+      if (!fast) connected(pairLeaders(_).valid)
       else {
         // refresh stale or weakened pairs with a full recount (chi only
         // decreases, so invalid pairs stay invalid and are skipped)
-        for ((i, j) <- pairIdx) {
-          val st = pairState((i, j))
-          if (st.valid && (pairStale.contains((i, j)) || st.chiA < b || st.chiB < b))
-            pairState((i, j)) = recountPair(i, j)
+        for (p <- pairIdx.indices) {
+          val st = pairState(p)
+          if (st.valid && (pairStale(p) || st.chiA < b || st.chiB < b))
+            pairState(p) = recountPair(p)
+          pairStale(p) = false
         }
-        pairStale.clear()
-        connected((i, j) => pairState((i, j)).valid)
+        connected(pairState(_).valid)
       }
 
-    def onDelete(v: Int): Unit = if (fast) inst.timeLeaderUpdate {
-      for ((i, j) <- pairIdx) {
-        val st = pairState((i, j))
-        if (st.valid) {
-          if (v == st.leaderA || v == st.leaderB) pairStale.add((i, j))
-          else {
-            st.chiA -= g.butterfliesLost(masks(i), masks(j), alive, st.leaderA, v)
-            st.chiB -= g.butterfliesLost(masks(i), masks(j), alive, st.leaderB, v)
+    val onDelete: Int => Unit =
+      if (!fast) _ => ()
+      else v => inst.timeLeaderUpdate {
+        var p = 0
+        while (p < pairState.length) {
+          val st = pairState(p)
+          if (st.valid) {
+            if (v == st.leaderA || v == st.leaderB) pairStale(p) = true
+            else {
+              val (i, j) = pairIdx(p)
+              st.chiA -= g0.butterfliesLost(masks(i), masks(j), alive, st.leaderA, v)
+              st.chiB -= g0.butterfliesLost(masks(i), masks(j), alive, st.leaderB, v)
+            }
           }
+          p += 1
         }
       }
-    }
 
     val Inf = LocalGraph.Inf
-    var bestMask: Array[Boolean] = null
-    var bestQd = Inf
+    val rounds = new Refine.Rounds(alive)
     var go = true
-    var lastDeleted: Seq[Int] = Nil // empty only before the first round
+    var lastDeleted: Array[Int] = null // null only before the first round
     val dists = new Array[Array[Int]](m)
     while (go) {
       inst.rounds += 1
-      if (fast && lastDeleted.nonEmpty)
-        inst.timeQueryDist(dists.foreach(FastDist.update(g, alive, _, lastDeleted)))
-      else for (i <- 0 until m) dists(i) = inst.timeQueryDist(g.bfs(Seq(qs(i)), alive))
+      if (fast && lastDeleted != null)
+        inst.timeQueryDist(dists.foreach(FastDist.update(g0, alive, _, lastDeleted)))
+      else for (i <- 0 until m) dists(i) = inst.timeQueryDist(g0.bfs(Seq(qs(i)), alive))
       if (dists.head(qs.last) == Inf) go = false
       else {
-        var maxQd = 0
-        val qd = new Array[Int](g.n)
-        var v = 0
-        while (v < g.n) {
-          if (alive(v)) {
-            var i = 0
-            while (i < m) { qd(v) = math.max(qd(v), dists(i)(v)); i += 1 } // Inf wins
-            maxQd = math.max(maxQd, qd(v))
-          }
-          v += 1
-        }
-        if (maxQd != Inf && maxQd < bestQd) { bestMask = alive.clone(); bestQd = maxQd }
-        val batch = (0 until g.n).filter(v => alive(v) && qd(v) == maxQd)
-        if (batch.exists(qs.contains(_))) go = false
-        else BCCEngine.cascade(g, alive, intraDeg, kOf, qs.contains, batch, onDelete) match {
+        val batch = rounds.next(dists)
+        if (Refine.containsAny(batch, isQuery(_))) go = false
+        else BCCEngine.cascade(g0, alive, intraDeg, kOf, isQuery(_), batch, onDelete) match {
           case None => go = false
           case Some(removed) =>
+            rounds.deleted(removed)
             lastDeleted = removed
             if (!metaConnected()) go = false
         }
       }
     }
 
-    Option(bestMask).map { mask =>
-      val ids = (0 until g.n).iterator.filter(mask).map(g.ids).toSet
-      MBCCResult(ids, labs, bestQd, inst.rounds)
+    rounds.best.map { mask =>
+      val ids = (0 until n).iterator.filter(mask).map(g0.ids).toSet
+      MBCCResult(ids, labs, rounds.bestQd, inst.rounds)
     }
   }
 }

@@ -45,22 +45,47 @@ final class LocalGraph(
 
   /** Induced subgraph on the vertices where `keep(v)`; re-indexed. */
   def induced(keep: Array[Boolean]): LocalGraph = {
-    val newIdx = Array.fill(n)(-1)
     var m = 0
     var v = 0
-    while (v < n) { if (keep(v)) { newIdx(v) = m; m += 1 }; v += 1 }
+    while (v < n) { if (keep(v)) m += 1; v += 1 }
+    val verts = new Array[Int](m)
+    m = 0
+    v = 0
+    while (v < n) { if (keep(v)) { verts(m) = v; m += 1 }; v += 1 }
+    inducedOn(verts)
+  }
+
+  /** Induced subgraph on `verts`, which must be ascending and distinct;
+    * vertex `verts(i)` becomes `i`. The remap is monotone, so neighbour
+    * lists stay sorted without a sort.
+    */
+  def inducedOn(verts: Array[Int]): LocalGraph = {
+    val m = verts.length
+    val newIdx = new Array[Int](n) // new index + 1; 0 = not kept
+    var i = 0
+    while (i < m) { newIdx(verts(i)) = i + 1; i += 1 }
     val nIds = new Array[Long](m)
     val nLabels = new Array[String](m)
     val nAdj = new Array[Array[Int]](m)
-    v = 0
-    while (v < n) {
-      val w = newIdx(v)
-      if (w >= 0) {
-        nIds(w) = ids(v)
-        nLabels(w) = labels(v)
-        nAdj(w) = adj(v).collect { case u if keep(u) => newIdx(u) }.sorted
+    i = 0
+    while (i < m) {
+      val v = verts(i)
+      val ns = adj(v)
+      var c = 0
+      var j = 0
+      while (j < ns.length) { if (newIdx(ns(j)) > 0) c += 1; j += 1 }
+      val out = new Array[Int](c)
+      c = 0
+      j = 0
+      while (j < ns.length) {
+        val w = newIdx(ns(j))
+        if (w > 0) { out(c) = w - 1; c += 1 }
+        j += 1
       }
-      v += 1
+      nIds(i) = ids(v)
+      nLabels(i) = labels(v)
+      nAdj(i) = out
+      i += 1
     }
     new LocalGraph(nIds, nLabels, nAdj)
   }
@@ -75,19 +100,28 @@ final class LocalGraph(
     * Unreachable (or dead) vertices get [[LocalGraph.Inf]].
     */
   def bfs(sources: Seq[Int], alive: Array[Boolean] = null): Array[Int] = {
-    val dist = Array.fill(n)(LocalGraph.Inf)
-    val queue = new java.util.ArrayDeque[Int]()
-    for (s <- sources if alive == null || alive(s)) { dist(s) = 0; queue.add(s) }
-    while (!queue.isEmpty) {
-      val u = queue.poll()
+    val dist = new Array[Int](n)
+    java.util.Arrays.fill(dist, LocalGraph.Inf)
+    val queue = new Array[Int](n) // a vertex enters once, when its distance is set
+    var tail = 0
+    for (s <- sources if (alive == null || alive(s)) && dist(s) != 0) {
+      dist(s) = 0
+      queue(tail) = s
+      tail += 1
+    }
+    var head = 0
+    while (head < tail) {
+      val u = queue(head)
+      head += 1
       val du = dist(u)
-      var i = 0
       val ns = adj(u)
+      var i = 0
       while (i < ns.length) {
         val w = ns(i)
         if ((alive == null || alive(w)) && dist(w) == LocalGraph.Inf) {
           dist(w) = du + 1
-          queue.add(w)
+          queue(tail) = w
+          tail += 1
         }
         i += 1
       }
@@ -119,8 +153,44 @@ final class LocalGraph(
 
   /** Coreness within each vertex's label-induced subgraph, in one peel over
     * intra-label edges (the coreness of a disjoint union is that of each part).
+    * Computed on first use and shared by every caller, who must not modify it.
     */
-  def labelCoreness(): Array[Int] = peel(null, sameLabel = true, Int.MaxValue)
+  def labelCoreness(): Array[Int] = labelCore
+
+  private lazy val labelCore: Array[Int] = peel(null, sameLabel = true, Int.MaxValue)
+
+  /** The component of `src` in the k-core of its label-induced subgraph, in
+    * BFS order: one BFS from `src` over the vertices of its label whose
+    * [[labelCoreness]] is >= k (the k-core of a graph is exactly its
+    * vertices of coreness >= k). Empty when `src` itself is not in the k-core.
+    */
+  def labelCoreComponent(src: Int, k: Int): Array[Int] = {
+    val core = labelCoreness()
+    if (core(src) < k) return Array.emptyIntArray
+    val lab = labels(src)
+    val seen = new Array[Boolean](n)
+    var queue = new Array[Int](16)
+    queue(0) = src
+    seen(src) = true
+    var head = 0
+    var tail = 1
+    while (head < tail) {
+      val ns = adj(queue(head))
+      head += 1
+      var j = 0
+      while (j < ns.length) {
+        val w = ns(j)
+        if (!seen(w) && core(w) >= k && labels(w) == lab) {
+          seen(w) = true
+          if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+          queue(tail) = w
+          tail += 1
+        }
+        j += 1
+      }
+    }
+    java.util.Arrays.copyOf(queue, tail)
+  }
 
   /** Batagelj-Zaversnik peel over alive vertices, counting only same-label
     * edges when `sameLabel`; the degree bins double as the vertex order.

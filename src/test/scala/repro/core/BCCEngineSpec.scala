@@ -34,7 +34,7 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, "A"), (1L, "A"), (2L, "A"), (3L, "B"), (4L, "B")),
       Seq((0L, 1L), (1L, 2L), (3L, 4L), (0L, 3L)))
     val e = engineFor(g, 0L, 3L, 1, 1)
-    val removed = e.deleteCascade(Seq(g.indexOf(2L)))
+    val removed = e.deleteCascade(Array(g.indexOf(2L)))
     assert(removed.isDefined)
     assert(removed.get.map(e.g.ids).toSet == Set(2L)) // 1 still has neighbor 0
     assert(e.aliveCount == 4)
@@ -46,7 +46,7 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, 1L), (2L, 3L), (0L, 2L)))
     val e = engineFor(g, 0L, 2L, 1, 1)
     // deleting 1 drops q_l (vertex 0) below k1=1 -> cascade hits the query
-    assert(e.deleteCascade(Seq(g.indexOf(1L))).isEmpty)
+    assert(e.deleteCascade(Array(g.indexOf(1L))).isEmpty)
   }
 
   test("onDelete hook sees the vertex while still alive") {
@@ -55,7 +55,7 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, 1L), (2L, 3L), (0L, 2L), (1L, 3L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
     var sawAlive = false
-    e.deleteCascade(Seq(g.indexOf(3L)), v => sawAlive = e.alive(v))
+    e.deleteCascade(Array(g.indexOf(3L)), v => sawAlive = e.alive(v))
     assert(sawAlive)
     assert(!e.alive(g.indexOf(3L)))
   }
@@ -68,7 +68,7 @@ class BCCEngineSpec extends AnyFunSuite {
     e.fullButterflyCount()
     assert(e.chi.forall(_ == 1L))
     assert(e.inst.butterflyCountCalls == 1)
-    e.deleteCascade(Seq(g.indexOf(3L)))
+    e.deleteCascade(Array(g.indexOf(3L)))
     e.fullButterflyCount()
     assert(e.chi.forall(_ == 0L))
     assert(e.inst.butterflyCountCalls == 2)
@@ -103,7 +103,7 @@ class BCCEngineSpec extends AnyFunSuite {
     val e = engineFor(g, 0L, 2L, 0, 0)
     assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 1L)
     assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 2) == 1L)
-    e.deleteCascade(Seq(g.indexOf(3L)))
+    e.deleteCascade(Array(g.indexOf(3L)))
     assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 0L)
     assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 3) == 0L) // dead
   }
@@ -113,7 +113,7 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, "A"), (1L, "A"), (2L, "B")),
       Seq((0L, 1L), (0L, 2L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
-    e.deleteCascade(Seq(g.indexOf(1L)))
+    e.deleteCascade(Array(g.indexOf(1L)))
     assert(e.aliveIds == Set(0L, 2L))
   }
 }

@@ -21,7 +21,7 @@ class FastDistSpec extends AnyFunSuite {
       if (candidates.nonEmpty) {
         val batch = rnd.shuffle(candidates.toList).take(1 + rnd.nextInt(5))
         batch.foreach(alive(_) = false)
-        FastDist.update(g, alive, dist, batch)
+        FastDist.update(g, alive, dist, batch.toArray)
         val ref = g.bfs(Seq(q), alive)
         assert(dist.toSeq == ref.toSeq, s"seed=$seed")
       }
@@ -38,7 +38,7 @@ class FastDistSpec extends AnyFunSuite {
     val alive = Array.fill(g.n)(true)
     val dist = g.bfs(Seq(0), alive)
     val before = dist.toSeq
-    FastDist.update(g, alive, dist, Nil)
+    FastDist.update(g, alive, dist, Array.emptyIntArray)
     assert(dist.toSeq == before)
   }
 
@@ -49,7 +49,7 @@ class FastDistSpec extends AnyFunSuite {
     val alive = Array.fill(g.n)(true)
     val dist = g.bfs(Seq(0), alive)
     alive(2) = false
-    FastDist.update(g, alive, dist, Seq(2))
+    FastDist.update(g, alive, dist, Array(2))
     assert(dist(0) == 0 && dist(1) == 1)
     assert(dist(2) == LocalGraph.Inf && dist(3) == LocalGraph.Inf)
   }
@@ -62,7 +62,7 @@ class FastDistSpec extends AnyFunSuite {
     val alive = Array.fill(g.n)(true)
     val dist = g.bfs(Seq(0), alive)
     alive(2) = false
-    FastDist.update(g, alive, dist, Seq(2))
+    FastDist.update(g, alive, dist, Array(2))
     assert(dist(1) == 1)
     assert(dist(3) == LocalGraph.Inf && dist(4) == LocalGraph.Inf)
   }
@@ -76,7 +76,7 @@ class FastDistSpec extends AnyFunSuite {
     val dist = g.bfs(Seq(0), alive)
     assert(dist(2) == 2)
     alive(1) = false
-    FastDist.update(g, alive, dist, Seq(1))
+    FastDist.update(g, alive, dist, Array(1))
     assert(dist(2) == 4 && dist(3) == 3 && dist(4) == 2 && dist(5) == 1)
   }
 }

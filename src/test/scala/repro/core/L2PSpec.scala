@@ -31,7 +31,8 @@ class L2PSpec extends AnyFunSuite {
     val q = QueryGen.queries2(planted, 1, seed = 8).head
     val chi = index.butterflyDegrees("A", "B")
     val path = L2PBCC.weightedPath(
-      g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, chi, 0.5, 0.5)
+      g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, index.maxCoreness, chi,
+      index.maxButterflyDegree("A", "B"), 0.5, 0.5)
     assert(path.isDefined)
     val p = path.get
     assert(p.head == g.indexOf(q.ql) && p.last == g.indexOf(q.qr))
@@ -43,7 +44,8 @@ class L2PSpec extends AnyFunSuite {
     val q = QueryGen.queries2(planted, 1, seed = 9).head
     val chi = index.butterflyDegrees("A", "B")
     val path = L2PBCC
-      .weightedPath(g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, chi, 0.0, 0.0)
+      .weightedPath(g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, index.maxCoreness, chi,
+        index.maxButterflyDegree("A", "B"), 0.0, 0.0)
       .get
     val d = g.bfs(Seq(g.indexOf(q.ql)))(g.indexOf(q.qr))
     assert(path.length - 1 == d)
@@ -52,7 +54,7 @@ class L2PSpec extends AnyFunSuite {
   test("weighted path returns None across components") {
     val g = repro.graph.LocalGraph(
       Seq((0L, "A"), (1L, "B")), Nil)
-    assert(L2PBCC.weightedPath(g, 0, 1, Array(0, 0), Array(0L, 0L), 0.5, 0.5).isEmpty)
+    assert(L2PBCC.weightedPath(g, 0, 1, Array(0, 0), 0, Array(0L, 0L), 0L, 0.5, 0.5).isEmpty)
   }
 
   test("expansion contains the path and respects the size cap roughly") {
@@ -60,7 +62,8 @@ class L2PSpec extends AnyFunSuite {
     val q = QueryGen.queries2(planted, 1, seed = 10).head
     val chi = index.butterflyDegrees("A", "B")
     val path = L2PBCC
-      .weightedPath(g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, chi, 0.5, 0.5)
+      .weightedPath(g, g.indexOf(q.ql), g.indexOf(q.qr), index.coreness, index.maxCoreness, chi,
+      index.maxButterflyDegree("A", "B"), 0.5, 0.5)
       .get
     val mask = L2PBCC.expand(g, path, "A", "B", index, eta = 50)
     assert(path.forall(mask))

@@ -107,6 +107,24 @@ class LeaderPairSpec extends AnyFunSuite {
     assert(p == 0)
   }
 
+  test("identification returns when b = 0 and no same-side vertex is within rho") {
+    // A = {0, 5, 7}, B = {1, 2, 3, 4, 6}: the one butterfly 5-4-7-6 lies five
+    // hops from the query 0, so the threshold search finds nothing within rho
+    val labels = "ABBBBABA"
+    val g = LocalGraph(
+      labels.indices.map(v => (v.toLong, labels(v).toString)),
+      Seq((0L, 1L), (1L, 2L), (2L, 3L), (3L, 4L), (4L, 5L), (5L, 6L), (7L, 4L), (7L, 6L)))
+    val e = new BCCEngine(g, BCCParams(0, 0, 0), 0, 1, new Instrument)
+    e.fullButterflyCount()
+    var p = -1
+    val t = new Thread(() => p = LeaderPair.identify(e, left = true, g.bfs(Seq(0))))
+    t.setDaemon(true) // a hung search must not keep the test JVM alive
+    t.start()
+    t.join(10000)
+    assert(!t.isAlive, "identify did not return within 10 s")
+    assert(e.isLeft(p) && e.chi(p) >= e.params.b)
+  }
+
   test("updateOnDeletion ignores dead or self vertices") {
     val e = freshEngine(3)
     val lL = (0 until e.g.n).filter(e.isLeft).maxBy(e.chi)

@@ -56,8 +56,8 @@ class PaperFixtureSpec extends AnyFunSuite {
     val dQr = g.bfs(Seq(g.indexOf(qr)))
     val del = g.indexOf(u9)
     alive(del) = false
-    FastDist.update(g, alive, dQl, Seq(del))
-    FastDist.update(g, alive, dQr, Seq(del))
+    FastDist.update(g, alive, dQl, Array(del))
+    FastDist.update(g, alive, dQr, Array(del))
     // q_l row unchanged
     val fullQl = g.bfs(Seq(g.indexOf(ql)), alive)
     val fullQr = g.bfs(Seq(g.indexOf(qr)), alive)

@@ -51,9 +51,9 @@ object GraphGens {
   /** Mask of the vertices carrying `label`. */
   def labelMask(g: LocalGraph, label: String): Array[Boolean] = g.labels.map(_ == label)
 
-  /** Check `prop` on 300 cases from a fixed seed; fails with the counterexample. */
-  def check(prop: Prop, seed: Long = 7L): Unit = {
-    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(seed))
+  /** Check `prop` on `cases` cases from a fixed seed; fails with the counterexample. */
+  def check(prop: Prop, seed: Long = 7L, cases: Int = 300): Unit = {
+    val params = Test.Parameters.default.withMinSuccessfulTests(cases).withInitialSeed(Seed(seed))
     val res = Test.check(params, prop)
     assert(res.passed, s"property failed: ${res.status}")
   }

@@ -261,6 +261,28 @@ class LocalGraphSpec extends AnyFunSuite {
     })
   }
 
+  test("property: bfs from duplicate or dead sources equals a reference") {
+    val cases = for {
+      g <- GraphGens.labeledGraph
+      alive <- GraphGens.aliveMask(g.n)
+      k <- Gen.choose(0, 4)
+      srcs <- Gen.listOfN(k, Gen.choose(0, g.n - 1))
+    } yield (g, alive, srcs ++ srcs.take(1)) // a repeated source whenever there is one
+    GraphGens.check(forAll(cases) { case (g, alive, srcs) =>
+      // relax every alive edge until nothing changes
+      val live = (v: Int) => alive == null || alive(v)
+      val ref = Array.fill(g.n)(LocalGraph.Inf)
+      srcs.filter(live).foreach(ref(_) = 0)
+      var changed = true
+      while (changed) {
+        changed = false
+        for (v <- 0 until g.n if live(v) && ref(v) != LocalGraph.Inf; w <- g.neighbors(v)
+             if live(w) && ref(w) > ref(v) + 1) { ref(w) = ref(v) + 1; changed = true }
+      }
+      (g.bfs(srcs, alive).toSeq == ref.toSeq) :| s"sources $srcs"
+    })
+  }
+
   test("property: kCoreMask equals repeated removal of low-degree vertices") {
     val cases = for {
       g <- GraphGens.labeledGraph
