@@ -1,5 +1,6 @@
 package repro.baseline
 
+import repro.core.Refine
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
@@ -11,10 +12,12 @@ import repro.graph.LocalGraph
   * (restricted to vertices whose global coreness can support k), doubling
   * the candidate size until it contains a connected k-core with the
   * queries; then shrink it with the same farthest-vertex greedy peeling.
+  *
+  * The work follows the explored ball: the BFS stops after the layer that
+  * fills the current candidate size, and each doubling step and the shrink
+  * run on the subgraph induced by their own vertices.
   */
 object PSA {
-
-  private val Inf = LocalGraph.Inf
 
   /** Full PSA search. `k` defaults to the minimum coreness of the queries
     * (the same auto-parameter policy the BCC methods use).
@@ -29,67 +32,162 @@ object PSA {
     val kk = if (k > 0) k else math.max(1, qs.map(coreness).min)
     if (qs.exists(coreness(_) < kk)) return None
 
-    // vertices ordered by BFS distance from the query set
-    val dist = g.bfs(qs)
-    val candidates = (0 until g.n)
-      .filter(v => dist(v) != Inf && coreness(v) >= kk)
-      .sortBy(dist(_))
-
     // progressive doubling until a connected k-core contains all queries
-    var size = math.min(candidates.length, math.max(qs.size * 4, 16))
+    val cand = new Candidates(g, qs, coreness, kk)
+    var size = math.max(qs.size * 4, 16)
+    if (!cand.reach(size)) size = cand.count
     if (size == 0) return None
-    var found: Option[Array[Boolean]] = None
-    while (found.isEmpty && size <= candidates.length * 2) {
-      val mask = Array.fill(g.n)(false)
-      candidates.take(size).foreach(mask(_) = true)
-      val core = g.kCoreMask(kk, mask)
-      if (qs.forall(core)) {
-        val comp = g.componentOf(qs.head, core)
-        if (qs.forall(comp)) found = Some(comp)
-      }
+    var found: Array[Int] = null
+    while (found == null && (cand.reach(size) || size <= cand.count * 2)) {
+      found = connectedCore(g, cand.prefix(size), qs, kk)
       size *= 2
     }
-    val start = found.getOrElse(return None)
+    if (found == null) return None
 
     // shrink: greedy farthest-vertex peeling with k-core maintenance
-    val alive = start.clone()
-    val deg = Array.tabulate(g.n)(v => if (alive(v)) g.neighbors(v).count(alive) else 0)
-    def cascade(seeds: Seq[Int]): Boolean = {
-      val queue = new java.util.ArrayDeque[Int]()
-      seeds.foreach(queue.add(_))
-      while (!queue.isEmpty) {
-        val v = queue.poll()
-        if (alive(v)) {
-          if (qs.contains(v)) return false
-          alive(v) = false
-          for (u <- g.neighbors(v) if alive(u)) {
-            deg(u) -= 1
-            if (deg(u) < kk) queue.add(u)
-          }
-        }
-      }
-      true
-    }
-
-    var bestMask = alive.clone()
-    var bestQd = Inf
+    val sub = g.inducedOn(found)
+    val lq = qs.map(java.util.Arrays.binarySearch(found, _)).toArray
+    val isQuery = new Array[Boolean](sub.n)
+    lq.foreach(isQuery(_) = true)
+    val alive = Array.fill(sub.n)(true)
+    val deg = Array.tabulate(sub.n)(sub.degree)
+    val rounds = new Refine.Rounds(alive)
     var go = true
     while (go) {
       inst.rounds += 1
-      val dists = qs.map(q => g.bfs(Seq(q), alive))
-      var maxQd = 0
-      val qd = Array.fill(g.n)(-1)
-      for (v <- 0 until g.n if alive(v)) {
-        var d = 0
-        for (ds <- dists) d = if (d == Inf || ds(v) == Inf) Inf else math.max(d, ds(v))
-        qd(v) = d
-        if (d == Inf) maxQd = Inf else if (maxQd != Inf) maxQd = math.max(maxQd, d)
+      val batch = rounds.next(lq.map(q => sub.bfs(Seq(q), alive)))
+      if (batch.exists(isQuery)) go = false
+      else cascade(sub, alive, deg, kk, isQuery, batch) match {
+        case null    => go = false
+        case removed => rounds.deleted(removed)
       }
-      if (maxQd != Inf && maxQd < bestQd) { bestMask = alive.clone(); bestQd = maxQd }
-      val batch = (0 until g.n).filter(v => alive(v) && qd(v) == maxQd)
-      if (batch.isEmpty || batch.exists(qs.contains(_))) go = false
-      else if (!cascade(batch)) go = false
     }
-    Some((0 until g.n).filter(bestMask).map(g.ids).toSet)
+    // the start is connected, so the first round's distances are finite and
+    // there is a best snapshot
+    rounds.best.map(mask => (0 until sub.n).filter(mask).map(sub.ids).toSet)
+  }
+
+  /** Delete `seeds`, then every alive vertex whose alive degree `deg`
+    * drops below k; returns the removed vertices, or null as soon as a
+    * query vertex would go. The label-blind twin of `BCCEngine.cascade`,
+    * kept apart so that the BCC methods' cascade keeps its own call sites.
+    */
+  private def cascade(
+      g: LocalGraph,
+      alive: Array[Boolean],
+      deg: Array[Int],
+      k: Int,
+      isQuery: Array[Boolean],
+      seeds: Array[Int]): Array[Int] = {
+    // FIFO queue; a vertex re-enters each time its degree drops while below k
+    var queue = java.util.Arrays.copyOf(seeds, math.max(16, 2 * seeds.length))
+    var head = 0
+    var tail = seeds.length
+    var nRemoved = 0
+    val removed = new Array[Int](g.n)
+    while (head < tail) {
+      val v = queue(head)
+      head += 1
+      if (alive(v)) {
+        if (isQuery(v)) return null
+        alive(v) = false
+        removed(nRemoved) = v
+        nRemoved += 1
+        val ns = g.neighbors(v)
+        var j = 0
+        while (j < ns.length) {
+          val u = ns(j)
+          if (alive(u)) {
+            deg(u) -= 1
+            if (deg(u) < k) {
+              if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+              queue(tail) = u
+              tail += 1
+            }
+          }
+          j += 1
+        }
+      }
+    }
+    java.util.Arrays.copyOf(removed, nRemoved)
+  }
+
+  /** The vertices (ascending) of the component holding every query in the
+    * k-core of the subgraph induced by `verts` (ascending), or null.
+    */
+  private def connectedCore(g: LocalGraph, verts: Array[Int], qs: Seq[Int], k: Int): Array[Int] = {
+    val sub = g.inducedOn(verts)
+    val lq = qs.map(java.util.Arrays.binarySearch(verts, _))
+    val core = sub.kCoreMask(k)
+    if (!lq.forall(core)) return null
+    val comp = sub.componentOf(lq.head, core)
+    if (!lq.forall(comp)) null else verts.indices.filter(comp).map(verts).toArray
+  }
+
+  /** The candidates in (BFS distance from the queries, index) order: the
+    * vertices of coreness >= k among those the BFS reaches, which explores
+    * every vertex. The BFS runs one layer at a time, only as far as the
+    * candidates asked for so far need.
+    */
+  private final class Candidates(g: LocalGraph, qs: Seq[Int], coreness: Array[Int], k: Int) {
+    private val seen = new Array[Boolean](g.n)
+    private var queue = new Array[Int](16) // BFS order, each layer sorted by index
+    private var head = 0 // first vertex of the layer to expand next
+    private var tail = 0
+    private var list = new Array[Int](16)
+    /** Candidates found so far; all of them once [[reach]] returns false. */
+    var count = 0
+
+    for (q <- qs if !seen(q)) { seen(q) = true; push(q) }
+    endLayer(0)
+
+    private def push(v: Int): Unit = {
+      if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+      queue(tail) = v
+      tail += 1
+    }
+
+    /** Sort the layer `queue(from until tail)` by index and take its candidates. */
+    private def endLayer(from: Int): Unit = {
+      java.util.Arrays.sort(queue, from, tail)
+      var i = from
+      while (i < tail) {
+        val v = queue(i)
+        if (coreness(v) >= k) {
+          if (count == list.length) list = java.util.Arrays.copyOf(list, 2 * count)
+          list(count) = v
+          count += 1
+        }
+        i += 1
+      }
+    }
+
+    /** Explore layers until `size` candidates are known; false if the BFS
+      * ran out first.
+      */
+    def reach(size: Int): Boolean = {
+      while (count < size && head < tail) {
+        val from = tail
+        while (head < from) {
+          val ns = g.neighbors(queue(head))
+          head += 1
+          var j = 0
+          while (j < ns.length) {
+            val w = ns(j)
+            if (!seen(w)) { seen(w) = true; push(w) }
+            j += 1
+          }
+        }
+        endLayer(from)
+      }
+      count >= size
+    }
+
+    /** The first `size` candidates (all, if fewer), ascending. */
+    def prefix(size: Int): Array[Int] = {
+      val p = java.util.Arrays.copyOf(list, math.min(size, count))
+      java.util.Arrays.sort(p)
+      p
+    }
   }
 }

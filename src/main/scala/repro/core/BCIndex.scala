@@ -11,9 +11,10 @@ import repro.graph.{ButterflyCount, KCore, LabeledGraph, LocalGraph}
   *
   * Coreness is the graph's own [[LocalGraph.labelCoreness]] array (one peel
   * over intra-label edges, shared with Algorithm 2 and the parameter
-  * defaults); butterfly degrees are computed per label pair on first use and
-  * cached with their maximum (real networks can have hundreds of labels, so
-  * the full pair matrix is built lazily).
+  * defaults); butterfly degrees are computed per label pair on first use,
+  * from the graph's per-label vertex lists so the work follows the two
+  * labels, and cached with their maximum (real networks can have hundreds of
+  * labels, so the full pair matrix is built lazily).
   */
 final class BCIndex(val g: LocalGraph) {
 
@@ -32,11 +33,26 @@ final class BCIndex(val g: LocalGraph) {
 
   private val pairCache = mutable.Map[(String, String), Pair]()
 
+  /** Counted on the subgraph induced by the two labels' vertices, which
+    * holds every cross edge between them, and scattered back to `g`'s
+    * indices. A label paired with itself has no cross edges: all zeros.
+    */
   private def pair(labA: String, labB: String): Pair = {
     val key = if (labA <= labB) (labA, labB) else (labB, labA)
     pairCache.getOrElseUpdate(key, {
-      val chi = g.butterflyDegrees(g.labels.map(_ == key._1), g.labels.map(_ == key._2))
-      new Pair(chi, BCCEngine.maxOn(chi, null))
+      val chi = new Array[Long](g.n)
+      var max = 0L
+      if (key._1 != key._2) {
+        val verts = g.labelVertices(key._1) ++ g.labelVertices(key._2)
+        java.util.Arrays.sort(verts)
+        val sub = g.inducedOn(verts)
+        val left = sub.labels.map(_ == key._1)
+        val subChi = sub.butterflyDegrees(left, left.map(!_))
+        var i = 0
+        while (i < verts.length) { chi(verts(i)) = subChi(i); i += 1 }
+        max = BCCEngine.maxOn(subChi, null)
+      }
+      new Pair(chi, max)
     })
   }
 

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
@@ -45,13 +44,15 @@ object L2PBCC {
     val dist = new Array[Double](g.n)
     java.util.Arrays.fill(dist, Double.PositiveInfinity)
     val prev = new Array[Int](g.n)
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
+    val heap = new Heap
     dist(src) = 0.0
-    pq.enqueue((0.0, src))
+    heap.push(0.0, src)
     // costs are positive, so once dst is settled its prev chain is final
     var settled = false
-    while (!settled && pq.nonEmpty) {
-      val (d, u) = pq.dequeue()
+    while (!settled && heap.size > 0) {
+      val d = heap.minKey
+      val u = heap.minVertex
+      heap.pop()
       if (d <= dist(u)) {
         if (u == dst) settled = true
         else {
@@ -60,7 +61,7 @@ object L2PBCC {
           while (j < ns.length) {
             val w = ns(j)
             val nd = d + cost(w)
-            if (nd < dist(w)) { dist(w) = nd; prev(w) = u; pq.enqueue((nd, w)) }
+            if (nd < dist(w)) { dist(w) = nd; prev(w) = u; heap.push(nd, w) }
             j += 1
           }
         }
@@ -74,9 +75,54 @@ object L2PBCC {
     }
   }
 
+  /** Binary min-heap of (key, vertex) on primitive arrays, 1-based. It
+    * sifts exactly as `mutable.PriorityQueue` does, with strict key
+    * comparisons only, so entries with equal keys leave in the same order.
+    */
+  private final class Heap {
+    private var keys = new Array[Double](16)
+    private var verts = new Array[Int](16)
+    var size = 0
+
+    def minKey: Double = keys(1)
+    def minVertex: Int = verts(1)
+
+    private def swap(a: Int, b: Int): Unit = {
+      val k = keys(a); keys(a) = keys(b); keys(b) = k
+      val v = verts(a); verts(a) = verts(b); verts(b) = v
+    }
+
+    def push(key: Double, v: Int): Unit = {
+      size += 1
+      if (size == keys.length) {
+        keys = java.util.Arrays.copyOf(keys, 2 * size)
+        verts = java.util.Arrays.copyOf(verts, 2 * size)
+      }
+      keys(size) = key
+      verts(size) = v
+      var k = size
+      while (k > 1 && keys(k / 2) > keys(k)) { swap(k, k / 2); k /= 2 }
+    }
+
+    /** Remove the minimum. */
+    def pop(): Unit = {
+      keys(1) = keys(size)
+      verts(1) = verts(size)
+      size -= 1
+      var k = 1
+      var sifting = true
+      while (sifting && size >= 2 * k) {
+        var j = 2 * k
+        if (j < size && keys(j) > keys(j + 1)) j += 1
+        if (keys(k) <= keys(j)) sifting = false
+        else { swap(k, j); k = j }
+      }
+    }
+  }
+
   /** Expand the path into a candidate of at most ~eta vertices: BFS adding
     * adjacent same-pair-label vertices with indexed coreness >= the path
-    * minimum of their side.
+    * minimum of their side. Returns the candidate's vertices, ascending.
     */
   private[core] def expand(
       g: LocalGraph,
@@ -84,23 +130,36 @@ object L2PBCC {
       lLab: String,
       rLab: String,
       index: BCIndex,
-      eta: Int): Array[Boolean] = {
+      eta: Int): Array[Int] = {
     val kl = path.filter(v => g.labels(v) == lLab).map(index.coreness).minOption.getOrElse(0)
     val kr = path.filter(v => g.labels(v) == rLab).map(index.coreness).minOption.getOrElse(0)
     def admissible(v: Int): Boolean =
       (g.labels(v) == lLab && index.coreness(v) >= kl) ||
         (g.labels(v) == rLab && index.coreness(v) >= kr)
     val in = new Array[Boolean](g.n)
-    val queue = new java.util.ArrayDeque[Int]()
-    var count = 0
-    for (v <- path if !in(v)) { in(v) = true; count += 1; queue.add(v) }
-    while (!queue.isEmpty && count <= eta) {
-      val u = queue.poll()
-      for (w <- g.neighbors(u) if !in(w) && admissible(w)) {
-        in(w) = true; count += 1; queue.add(w)
+    var queue = new Array[Int](16) // every vertex taken, in BFS order
+    var head = 0
+    var tail = 0
+    def add(v: Int): Unit = {
+      in(v) = true
+      if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+      queue(tail) = v
+      tail += 1
+    }
+    for (v <- path if !in(v)) add(v)
+    while (head < tail && tail <= eta) {
+      val ns = g.neighbors(queue(head))
+      head += 1
+      var j = 0
+      while (j < ns.length) {
+        val w = ns(j)
+        if (!in(w) && admissible(w)) add(w)
+        j += 1
       }
     }
-    in
+    val verts = java.util.Arrays.copyOf(queue, tail)
+    java.util.Arrays.sort(verts)
+    verts
   }
 
   /** Full L2P-BCC search. `index` may be shared across queries (that is the
@@ -134,8 +193,7 @@ object L2PBCC {
     var attempts = 0
     while (result.isEmpty && attempts < 3) {
       attempts += 1
-      val mask = expand(g, path, lLab, rLab, index, curEta)
-      val cand = g.induced(mask)
+      val cand = g.inducedOn(expand(g, path, lLab, rLab, index, curEta))
       result = LocalBCC.findG0(cand, qlId, qrId, params, inst)
         .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
       curEta *= 4

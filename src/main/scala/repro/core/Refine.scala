@@ -114,7 +114,7 @@ object Refine {
     }
   }
 
-  /** The per-round bookkeeping of bulk deletion, shared with [[MultiBCC]]:
+  /** The per-round bookkeeping of bulk deletion, shared with [[MultiBCC]] and PSA:
     * each round's batch (the alive vertices at the largest query distance,
     * Def. 5) from one pass, and a deletion log from which the best snapshot
     * (the graph at the start of the round with the smallest finite query
@@ -122,7 +122,7 @@ object Refine {
     *
     * @param alive the live mask the caller deletes from (read, not written)
     */
-  private[core] final class Rounds(alive: Array[Boolean]) {
+  private[repro] final class Rounds(alive: Array[Boolean]) {
     private val n = alive.length
     private val batch = new Array[Int](n)
     // round in which each vertex was deleted: MaxValue while alive, -1 if

@@ -148,8 +148,27 @@ final class LocalGraph(
     comp
   }
 
-  /** Coreness of every vertex (Batagelj-Zaversnik peel); dead vertices get -1. */
-  def coreness(alive: Array[Boolean] = null): Array[Int] = peel(alive, sameLabel = false, Int.MaxValue)
+  /** Coreness of every vertex (Batagelj-Zaversnik peel); dead vertices get -1.
+    * Without a mask it is computed once per graph and shared by every
+    * caller, who must not modify it.
+    */
+  def coreness(alive: Array[Boolean] = null): Array[Int] =
+    if (alive == null) core else peel(alive, sameLabel = false, Int.MaxValue)
+
+  private lazy val core: Array[Int] = peel(null, sameLabel = false, Int.MaxValue)
+
+  /** The vertices carrying `label`, ascending (empty for an absent label).
+    * Computed for every label at once on first use and shared by every
+    * caller, who must not modify them.
+    */
+  def labelVertices(label: String): Array[Int] = byLabel.getOrElse(label, Array.emptyIntArray)
+
+  private lazy val byLabel: Map[String, Array[Int]] = {
+    val lists = mutable.HashMap[String, mutable.ArrayBuilder.ofInt]()
+    var v = 0
+    while (v < n) { lists.getOrElseUpdate(labels(v), new mutable.ArrayBuilder.ofInt) += v; v += 1 }
+    lists.iterator.map { case (l, vs) => l -> vs.result() }.toMap
+  }
 
   /** Coreness within each vertex's label-induced subgraph, in one peel over
     * intra-label edges (the coreness of a disjoint union is that of each part).
@@ -461,35 +480,17 @@ final class LocalGraph(
   }
 
   /** Trussness of every edge: the largest k such that the edge is in the
-    * k-truss (every edge in >= k-2 triangles), by support peeling.
+    * k-truss (every edge in >= k-2 triangles), by [[TrussPeel]]; only the
+    * returned map outlives the call.
     */
   def trussness(): Map[(Int, Int), Int] = {
-    val sup = mutable.Map[(Int, Int), Int]() ++ edgeSupport()
-    val aliveEdge = mutable.Set[(Int, Int)]() ++ sup.keys
-    val result = mutable.Map[(Int, Int), Int]()
-    def key(a: Int, b: Int): (Int, Int) = if (a < b) (a, b) else (b, a)
-    var k = 2
-    while (aliveEdge.nonEmpty) {
-      var changed = true
-      while (changed) {
-        changed = false
-        val toRemove = aliveEdge.filter(e => sup(e) <= k - 2).toSeq
-        if (toRemove.nonEmpty) {
-          changed = true
-          for (e @ (u, v) <- toRemove if aliveEdge.contains(e)) {
-            aliveEdge.remove(e)
-            result(e) = k
-            // every common neighbor w forms a triangle to update
-            for (w <- adj(u) if aliveEdge.contains(key(u, w)) && aliveEdge.contains(key(v, w))) {
-              sup(key(u, w)) -= 1
-              sup(key(v, w)) -= 1
-            }
-          }
-        }
-      }
-      k += 1
-    }
-    result.toMap
+    val t = new TrussPeel(adj)
+    // filled through a mutable HashMap, so the result iterates in an order
+    // set by the keys' hashes, not by the peel (CTC's edge filter depends on it)
+    val out = mutable.Map[(Int, Int), Int]()
+    var e = 0
+    while (e < t.m) { out((t.lo(e), t.hi(e))) = t.sup(e) + 2; e += 1 }
+    out.toMap
   }
 
   /** Mask of vertices in the maximal k-truss (edges in >= k-2 triangles). */
@@ -499,6 +500,124 @@ final class LocalGraph(
     for (((u, v), tv) <- t if tv >= k) { keep(u) = true; keep(v) = true }
     keep
   }
+}
+
+/** Truss decomposition on `Int` arrays (Wang & Cheng, "Truss Decomposition
+  * in Massive Networks", PVLDB 5(9), 2012) of sorted, deduplicated adjacency
+  * arrays. Edges get ids `0 until m` in (lo, hi) order, lo < hi; slot
+  * `off(u) + j` of the adjacency arrays stands for the edge u-adj(u)(j).
+  * Supports come from one triangle listing and are peeled in increasing
+  * order from degree-style bins; on return `sup(e)` is edge e's trussness
+  * - 2. The per-vertex and per-edge steps are small methods, which the JIT
+  * compiles once and quickly.
+  */
+private[graph] final class TrussPeel(adj: Array[Array[Int]]) {
+  private val n = adj.length
+  private val off = new Array[Int](n + 1)
+  locally { var u = 0; while (u < n) { off(u + 1) = off(u) + adj(u).length; u += 1 } }
+  val m: Int = off(n) / 2
+  private val eid = new Array[Int](off(n))
+  val lo = new Array[Int](m)
+  val hi = new Array[Int](m)
+  val sup = new Array[Int](m)
+
+  locally {
+    // a vertex's lower neighbours come first in its sorted list, in the
+    // order this loop meets them
+    val fill = java.util.Arrays.copyOf(off, n) // next slot of each vertex's lower neighbours
+    var e = 0
+    var u = 0
+    while (u < n) { e = numberFrom(u, e, fill); u += 1 }
+    val mark = new Array[Int](n) // 1 + the slot of u-w while u's neighbours are marked
+    u = 0
+    while (u < n) { countTriangles(u, mark); u += 1 }
+  }
+
+  // bins: bin(s) is the start of the support-s block of `order`
+  private val maxSup = { var x = 0; var e = 0; while (e < m) { x = math.max(x, sup(e)); e += 1 }; x }
+  private val bin = new Array[Int](maxSup + 2)
+  private val order = new Array[Int](m)
+  private val pos = new Array[Int](m)
+  private val gone = new Array[Boolean](m)
+
+  locally {
+    var e = 0
+    while (e < m) { bin(sup(e) + 1) += 1; e += 1 }
+    var s = 1
+    while (s <= maxSup + 1) { bin(s) += bin(s - 1); s += 1 }
+    val place = java.util.Arrays.copyOf(bin, maxSup + 1)
+    e = 0
+    while (e < m) { pos(e) = place(sup(e)); order(pos(e)) = e; place(sup(e)) += 1; e += 1 }
+    var i = 0
+    while (i < m) { peel(order(i)); i += 1 }
+  }
+
+  /** Number u's edges to higher neighbours from `e`; returns the next id. */
+  private def numberFrom(u: Int, first: Int, fill: Array[Int]): Int = {
+    val ns = adj(u)
+    var e = first
+    var j = 0
+    while (j < ns.length) {
+      val v = ns(j)
+      if (v > u) { eid(off(u) + j) = e; eid(fill(v)) = e; fill(v) += 1; lo(e) = u; hi(e) = v; e += 1 }
+      j += 1
+    }
+    e
+  }
+
+  /** Credit every triangle u < v < w once, with u's neighbours marked. */
+  private def countTriangles(u: Int, mark: Array[Int]): Unit = {
+    val ns = adj(u)
+    var j = 0
+    while (j < ns.length) { mark(ns(j)) = off(u) + j + 1; j += 1 }
+    j = 0
+    while (j < ns.length) { if (ns(j) > u) countFrom(ns(j), eid(off(u) + j), mark); j += 1 }
+    j = 0
+    while (j < ns.length) { mark(ns(j)) = 0; j += 1 }
+  }
+
+  /** The triangles u-v-w with w > v marked, for the edge u-v `uv`. */
+  private def countFrom(v: Int, uv: Int, mark: Array[Int]): Unit = {
+    val nv = adj(v)
+    var i = 0
+    while (i < nv.length) {
+      val w = nv(i)
+      if (w > v && mark(w) > 0) { sup(uv) += 1; sup(eid(off(v) + i)) += 1; sup(eid(mark(w) - 1)) += 1 }
+      i += 1
+    }
+  }
+
+  /** Remove edge f at its current support: each triangle through f whose
+    * other two edges are still there costs them one support.
+    */
+  private def peel(f: Int): Unit = {
+    gone(f) = true
+    val a = lo(f); val b = hi(f)
+    val na = adj(a); val nb = adj(b)
+    var p = 0; var q = 0
+    while (p < na.length && q < nb.length) {
+      if (na(p) == nb(q)) {
+        val ea = eid(off(a) + p); val eb = eid(off(b) + q)
+        if (!gone(ea) && !gone(eb)) { lose(ea, sup(f)); lose(eb, sup(f)) }
+        p += 1; q += 1
+      } else if (na(p) < nb(q)) p += 1
+      else q += 1
+    }
+  }
+
+  /** One lost triangle for edge f while edges of support `level` are
+    * peeled: a support above the level moves to the front of its bin and
+    * drops by one; it never drops below the level.
+    */
+  private def lose(f: Int, level: Int): Unit =
+    if (sup(f) > level) {
+      val front = bin(sup(f))
+      val x = order(front)
+      order(pos(f)) = x; pos(x) = pos(f)
+      order(front) = f; pos(f) = front
+      bin(sup(f)) += 1
+      sup(f) -= 1
+    }
 }
 
 object LocalGraph {

@@ -7,8 +7,9 @@ import repro.graph.{GraphGens, LocalGraph}
 
 /** Differential properties of the search methods on random labeled graphs
   * (2-4 labels, k1 and k2 in 0..4, b in 0..3, feasible or not): Algorithm 2
-  * against a reference built from whole-graph k-core masks, and Online-BCC,
-  * LP-BCC and fast and naive 2-label mBCC against one another.
+  * against a reference built from whole-graph k-core masks, Online-BCC,
+  * LP-BCC and fast and naive 2-label mBCC against one another, and the
+  * validity of L2P-BCC's answers.
   */
 class MethodPropertySpec extends AnyFunSuite {
 
@@ -69,6 +70,15 @@ class MethodPropertySpec extends AnyFunSuite {
       val violations = online.toList.flatMap(r => Model.violations(g, r.vertexIds, ql, qr, p))
       (differ.isEmpty && violations.isEmpty) :|
         s"$p queries ($ql, $qr): ${answers.mkString("; ")} differ=$differ violations=$violations"
+    }, cases = 1000)
+  }
+
+  test("property: every L2P-BCC answer is a valid BCC, small eta included") {
+    val cases = for { c <- queryCase; eta <- Gen.choose(1, 30) } yield (c, eta)
+    GraphGens.check(forAllNoShrink(cases) { case ((g, ql, qr, p), eta) =>
+      val l2p = L2PBCC.run(g, ql, qr, p, BCIndex.build(g), eta = eta, computeDiameter = false)
+      val violations = l2p.toList.flatMap(r => Model.violations(g, r.vertexIds, ql, qr, p))
+      violations.isEmpty :| s"$p queries ($ql, $qr) eta $eta: ${l2p.map(_.vertexIds)} violations=$violations"
     }, cases = 1000)
   }
 }

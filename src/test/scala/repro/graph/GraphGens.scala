@@ -15,11 +15,15 @@ object GraphGens {
   /** Random graph on `labels` labels, optionally with a hub shape planted:
     * `hub` joins one L0 vertex to every L1 vertex, `biclique` joins a random
     * set of L0 vertices to a random set of L1 vertices (a K(a,b)).
+    * `sizes` and `density` draw the vertex count and the edge probability.
     */
-  def graphOn(labels: Gen[Int]): Gen[LocalGraph] = for {
-    n <- Gen.choose(2, 24)
+  def graphOn(
+      labels: Gen[Int],
+      sizes: Gen[Int] = Gen.choose(2, 24),
+      density: Gen[Double] = Gen.choose(0.05, 0.6)): Gen[LocalGraph] = for {
+    n <- sizes
     k <- labels
-    p <- Gen.choose(0.05, 0.6)
+    p <- density
     shape <- Gen.oneOf("random", "hub", "biclique")
     seed <- Gen.long
   } yield {

@@ -350,6 +350,16 @@ class LocalGraphSpec extends AnyFunSuite {
       assert(g.trussness() == refTrussness(g))
     }
 
+  test("property: trussness equals the reference and iterates in the same order") {
+    // CTC keeps the last edge per first endpoint in iteration order, so the
+    // order is part of the answer
+    GraphGens.check(forAll(GraphGens.graphOn(Gen.choose(1, 2), Gen.choose(2, 40))) { g =>
+      val got = g.trussness()
+      val ref = refTrussness(g)
+      (got == ref && got.toSeq == ref.toSeq) :| s"got $got"
+    })
+  }
+
   test("kTrussVertexMask keeps exactly the k-truss endpoints") {
     val g = LocalGraph(
       (0L to 4L).map(i => (i, "X")),
