@@ -27,12 +27,11 @@ object Exp9Exp10MultiLabelBench {
         val (f, s) = sums.getOrElse(k, (0.0, 0.0))
         sums(k) = (f + res.map(F1.f1(_, truth)).getOrElse(0.0), s + sec)
       }
-      val truss = p.graph.trussness()
       for (q <- qs) {
         def timed[T](f: => T): (T, Double) = {
           val t0 = System.nanoTime(); val r = f; (r, (System.nanoTime() - t0) / 1e9)
         }
-        val (rC, tC) = timed(CTC.run(p.graph, q.qs, trussCache = Some(truss)))
+        val (rC, tC) = timed(CTC.run(p.graph, q.qs))
         rec("CTC", rC, tC, q.truth)
         val (rP, tP) = timed(PSA.run(p.graph, q.qs))
         rec("PSA", rP, tP, q.truth)

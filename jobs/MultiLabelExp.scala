@@ -20,13 +20,12 @@ object MultiLabelExp {
     } yield {
       val p = GraphGen.baiduLike(name)
       val qs = QueryGen.queriesM(p, m, nQueries, seed = 900 + m)
-      val truss = p.graph.trussness()
       var (fC, fP, fM, tC, tP, tM) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
       for (q <- qs) {
         def timed[T](f: => T): (T, Double) = {
           val t0 = System.nanoTime(); val r = f; (r, (System.nanoTime() - t0) / 1e9)
         }
-        val (rC, dC) = timed(CTC.run(p.graph, q.qs, trussCache = Some(truss)))
+        val (rC, dC) = timed(CTC.run(p.graph, q.qs))
         fC += rC.map(F1.f1(_, q.truth)).getOrElse(0.0); tC += dC
         val (rP, dP) = timed(PSA.run(p.graph, q.qs))
         fP += rP.map(F1.f1(_, q.truth)).getOrElse(0.0); tP += dP

@@ -461,24 +461,6 @@ final class LocalGraph(
     } else 0L
   }
 
-  /** Edge support: number of triangles through each canonical edge (u < v). */
-  def edgeSupport(alive: Array[Boolean] = null): Map[(Int, Int), Int] = {
-    def ok(v: Int): Boolean = alive == null || alive(v)
-    val out = mutable.Map[(Int, Int), Int]()
-    for ((u, v) <- edges if ok(u) && ok(v)) {
-      // count common alive neighbors by merging sorted lists
-      var i = 0; var j = 0; var c = 0
-      val a = adj(u); val bArr = adj(v)
-      while (i < a.length && j < bArr.length) {
-        if (a(i) == bArr(j)) { if (ok(a(i))) c += 1; i += 1; j += 1 }
-        else if (a(i) < bArr(j)) i += 1
-        else j += 1
-      }
-      out((u, v)) = c
-    }
-    out.toMap
-  }
-
   /** Trussness of every edge: the largest k such that the edge is in the
     * k-truss (every edge in >= k-2 triangles), by [[TrussPeel]]; only the
     * returned map outlives the call.
@@ -486,19 +468,24 @@ final class LocalGraph(
   def trussness(): Map[(Int, Int), Int] = {
     val t = new TrussPeel(adj)
     // filled through a mutable HashMap, so the result iterates in an order
-    // set by the keys' hashes, not by the peel (CTC's edge filter depends on it)
+    // set by the keys' hashes, not by the peel
     val out = mutable.Map[(Int, Int), Int]()
     var e = 0
     while (e < t.m) { out((t.lo(e), t.hi(e))) = t.sup(e) + 2; e += 1 }
     out.toMap
   }
 
-  /** Mask of vertices in the maximal k-truss (edges in >= k-2 triangles). */
-  def kTrussVertexMask(k: Int): Array[Boolean] = {
-    val t = trussness()
-    val keep = Array.fill(n)(false)
-    for (((u, v), tv) <- t if tv >= k) { keep(u) = true; keep(v) = true }
-    keep
+  /** The edge-indexed truss decomposition ([[TrussIndex]]), computed on
+    * first use and shared by every caller, who must not modify it.
+    */
+  def trussIndex: TrussIndex = trussIdx
+
+  private lazy val trussIdx: TrussIndex = {
+    val t = new TrussPeel(adj)
+    val truss = t.sup // the peel leaves trussness - 2 here
+    var e = 0
+    while (e < t.m) { truss(e) += 2; e += 1 }
+    new TrussIndex(adj, t.off, t.eid, t.lo, t.hi, truss)
   }
 }
 
@@ -513,10 +500,10 @@ final class LocalGraph(
   */
 private[graph] final class TrussPeel(adj: Array[Array[Int]]) {
   private val n = adj.length
-  private val off = new Array[Int](n + 1)
+  val off = new Array[Int](n + 1)
   locally { var u = 0; while (u < n) { off(u + 1) = off(u) + adj(u).length; u += 1 } }
   val m: Int = off(n) / 2
-  private val eid = new Array[Int](off(n))
+  val eid = new Array[Int](off(n))
   val lo = new Array[Int](m)
   val hi = new Array[Int](m)
   val sup = new Array[Int](m)
@@ -528,9 +515,9 @@ private[graph] final class TrussPeel(adj: Array[Array[Int]]) {
     var e = 0
     var u = 0
     while (u < n) { e = numberFrom(u, e, fill); u += 1 }
-    val mark = new Array[Int](n) // 1 + the slot of u-w while u's neighbours are marked
+    val mark = new Array[Int](n)
     u = 0
-    while (u < n) { countTriangles(u, mark); u += 1 }
+    while (u < n) { TrussPeel.countTriangles(adj, off, eid, sup, mark, u); u += 1 }
   }
 
   // bins: bin(s) is the start of the support-s block of `order`
@@ -565,28 +552,6 @@ private[graph] final class TrussPeel(adj: Array[Array[Int]]) {
     e
   }
 
-  /** Credit every triangle u < v < w once, with u's neighbours marked. */
-  private def countTriangles(u: Int, mark: Array[Int]): Unit = {
-    val ns = adj(u)
-    var j = 0
-    while (j < ns.length) { mark(ns(j)) = off(u) + j + 1; j += 1 }
-    j = 0
-    while (j < ns.length) { if (ns(j) > u) countFrom(ns(j), eid(off(u) + j), mark); j += 1 }
-    j = 0
-    while (j < ns.length) { mark(ns(j)) = 0; j += 1 }
-  }
-
-  /** The triangles u-v-w with w > v marked, for the edge u-v `uv`. */
-  private def countFrom(v: Int, uv: Int, mark: Array[Int]): Unit = {
-    val nv = adj(v)
-    var i = 0
-    while (i < nv.length) {
-      val w = nv(i)
-      if (w > v && mark(w) > 0) { sup(uv) += 1; sup(eid(off(v) + i)) += 1; sup(eid(mark(w) - 1)) += 1 }
-      i += 1
-    }
-  }
-
   /** Remove edge f at its current support: each triangle through f whose
     * other two edges are still there costs them one support.
     */
@@ -618,6 +583,101 @@ private[graph] final class TrussPeel(adj: Array[Array[Int]]) {
       bin(sup(f)) += 1
       sup(f) -= 1
     }
+}
+
+private[graph] object TrussPeel {
+
+  /** Credit once every triangle u < v < w (u given) whose three edges e
+    * have sup(e) >= 0; edges below 0 are left out and stay there. `mark`
+    * (one entry per vertex) is all zeros on entry and on return.
+    */
+  def countTriangles(
+      adj: Array[Array[Int]],
+      off: Array[Int],
+      eid: Array[Int],
+      sup: Array[Int],
+      mark: Array[Int],
+      u: Int): Unit = {
+    val ns = adj(u)
+    var j = 0 // mark(w) = 1 + the slot of u-w
+    while (j < ns.length) { if (sup(eid(off(u) + j)) >= 0) mark(ns(j)) = off(u) + j + 1; j += 1 }
+    j = 0
+    while (j < ns.length) {
+      val uv = eid(off(u) + j)
+      if (ns(j) > u && sup(uv) >= 0) countFrom(adj, off, eid, sup, mark, ns(j), uv)
+      j += 1
+    }
+    j = 0
+    while (j < ns.length) { mark(ns(j)) = 0; j += 1 }
+  }
+
+  /** The triangles u-v-w with w > v marked, for the edge u-v `uv`. */
+  private def countFrom(
+      adj: Array[Array[Int]],
+      off: Array[Int],
+      eid: Array[Int],
+      sup: Array[Int],
+      mark: Array[Int],
+      v: Int,
+      uv: Int): Unit = {
+    val nv = adj(v)
+    var i = 0
+    while (i < nv.length) {
+      val w = nv(i)
+      if (w > v && mark(w) > 0) {
+        val vw = eid(off(v) + i)
+        if (sup(vw) >= 0) { sup(uv) += 1; sup(vw) += 1; sup(eid(mark(w) - 1)) += 1 }
+      }
+      i += 1
+    }
+  }
+}
+
+/** A graph's truss decomposition by edge id, as [[TrussPeel]] numbers the
+  * edges: slot `off(u) + j` of the adjacency arrays stands for the edge
+  * u-adj(u)(j), whose id is `eid(off(u) + j)`; edge e joins `lo(e) < hi(e)`
+  * and has trussness `truss(e)`. Shared by every caller, who must not modify
+  * it or the arrays it returns.
+  */
+final class TrussIndex private[graph] (
+    adj: Array[Array[Int]],
+    val off: Array[Int],
+    val eid: Array[Int],
+    val lo: Array[Int],
+    val hi: Array[Int],
+    val truss: Array[Int]) {
+
+  /** Number of edges. */
+  val m: Int = lo.length
+
+  private val n = adj.length
+  private val supports = {
+    var maxTruss = 2
+    var e = 0
+    while (e < m) { maxTruss = math.max(maxTruss, truss(e)); e += 1 }
+    new java.util.concurrent.atomic.AtomicReferenceArray[Array[Int]](maxTruss + 1)
+  }
+
+  /** Support of every edge within the maximal k-truss (the edges of
+    * trussness >= k), -1 for the other edges; k from 2 to the largest
+    * trussness. Counted on first use per k by one triangle listing over
+    * those edges, then shared.
+    */
+  def supportIn(k: Int): Array[Int] = {
+    var s = supports.get(k)
+    if (s == null) { s = countSupport(k); supports.set(k, s) }
+    s
+  }
+
+  private def countSupport(k: Int): Array[Int] = {
+    val sup = new Array[Int](m)
+    var e = 0
+    while (e < m) { if (truss(e) < k) sup(e) = -1; e += 1 }
+    val mark = new Array[Int](n)
+    var u = 0
+    while (u < n) { TrussPeel.countTriangles(adj, off, eid, sup, mark, u); u += 1 }
+    sup
+  }
 }
 
 object LocalGraph {

@@ -301,10 +301,6 @@ class LocalGraphSpec extends AnyFunSuite {
     })
   }
 
-  test("edge support of K4 is 2 on every edge") {
-    assert(k4.edgeSupport().values.toSeq.forall(_ == 2))
-  }
-
   test("trussness of K4 is 4 on every edge") {
     assert(k4.trussness().values.forall(_ == 4))
   }
@@ -351,8 +347,8 @@ class LocalGraphSpec extends AnyFunSuite {
     }
 
   test("property: trussness equals the reference and iterates in the same order") {
-    // CTC keeps the last edge per first endpoint in iteration order, so the
-    // order is part of the answer
+    // the map is built through a HashMap, and callers that iterate it see
+    // that order
     GraphGens.check(forAll(GraphGens.graphOn(Gen.choose(1, 2), Gen.choose(2, 40))) { g =>
       val got = g.trussness()
       val ref = refTrussness(g)
@@ -360,10 +356,27 @@ class LocalGraphSpec extends AnyFunSuite {
     })
   }
 
-  test("kTrussVertexMask keeps exactly the k-truss endpoints") {
-    val g = LocalGraph(
-      (0L to 4L).map(i => (i, "X")),
-      Seq((0L, 1L), (1L, 2L), (0L, 2L), (2L, 3L), (3L, 4L)))
-    assert(g.kTrussVertexMask(3).toSeq == Seq(true, true, true, false, false))
+  test("property: the truss index matches trussness, and supportIn counts k-truss triangles") {
+    GraphGens.check(forAll(GraphGens.graphOn(Gen.choose(1, 2), Gen.choose(2, 40))) { g =>
+      val t = g.trussIndex
+      val truss = g.trussness()
+      val slots = (0 until g.n).forall { u =>
+        g.neighbors(u).indices.forall { j =>
+          val e = t.eid(t.off(u) + j)
+          val w = g.neighbors(u)(j)
+          t.lo(e) == math.min(u, w) && t.hi(e) == math.max(u, w) && t.truss(e) == truss((t.lo(e), t.hi(e)))
+        }
+      }
+      val supports = (2 to t.truss.maxOption.getOrElse(2)).forall { k =>
+        val sup = t.supportIn(k)
+        def in(u: Int, w: Int): Boolean = g.hasEdge(u, w) && truss((math.min(u, w), math.max(u, w))) >= k
+        (0 until t.m).forall { e =>
+          val (u, w) = (t.lo(e), t.hi(e))
+          val ref = if (!in(u, w)) -1 else g.neighbors(u).count(x => in(u, x) && in(w, x))
+          sup(e) == ref
+        }
+      }
+      (t.m == g.edgeCount && slots && supports) :| s"slots=$slots supports=$supports"
+    })
   }
 }
