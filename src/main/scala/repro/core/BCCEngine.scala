@@ -3,77 +3,93 @@ package repro.core
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
-/** Mutable working state for the candidate community `G0` during the
-  * greedy refinement loop (paper Algorithm 1, maintenance Algorithm 4).
+/** Mutable working state of the greedy refinement loop (paper Algorithm 1,
+  * maintenance Algorithm 4) over m >= 2 label groups: group `i` holds the
+  * vertices carrying the label of `queries(i)` and must stay a `ks(i)`-core.
+  * A (k1,k2,b)-BCC is the m = 2 case of an mBCC (Def. 7-8).
   *
-  * Tracks per-vertex liveness, intra-label degrees (for O(1) cascade core
-  * maintenance), and the last full butterfly count. Deletions cascade:
-  * removing a vertex decrements its same-label neighbors' intra degrees and
-  * peels any that drop below their side's `k` (Algorithm 4); an `onDelete`
-  * hook fires before each removal so LP-BCC can run Algorithm 7 leader
-  * updates against the still-current adjacency.
+  * Tracks per-vertex liveness, intra-group degrees (for O(1) cascade core
+  * maintenance) and, per label pair, the butterfly state of [[BCCEngine.Pair]].
+  * Deletions cascade: removing a vertex decrements its same-group neighbours'
+  * intra degrees and peels any that drop below their group's `k` (Algorithm
+  * 4); an `onDelete` hook fires before each removal so LP-BCC can run
+  * Algorithm 7 leader updates against the still-current adjacency. Vertices
+  * outside every group are dead from the start.
   */
 final class BCCEngine(
     val g: LocalGraph,
-    val params: BCCParams,
-    val ql: Int,
-    val qr: Int,
+    val queries: Array[Int],
+    val ks: Array[Int],
+    val b: Int,
     val inst: Instrument) {
 
-  require(g.labels(ql) != g.labels(qr), "query vertices must have different labels")
+  /** The (k1,k2,b)-BCC engine: group 0 is `ql`'s label, group 1 `qr`'s. */
+  def this(g: LocalGraph, params: BCCParams, ql: Int, qr: Int, inst: Instrument) =
+    this(g, Array(ql, qr), Array(params.k1, params.k2), params.b, inst)
 
-  val leftLabel: String = g.labels(ql)
-  val rightLabel: String = g.labels(qr)
-  val isLeft: Array[Boolean] = new Array[Boolean](g.n)
-  val isRight: Array[Boolean] = new Array[Boolean](g.n)
+  val m: Int = queries.length
+  require(m >= 2 && ks.length == m, "m >= 2 queries, one core threshold each")
+  val labels: Array[String] = new Array[String](m)
+
+  /** Group of every vertex (-1 outside every group), as one mask per group too. */
+  val group: Array[Int] = new Array[Int](g.n)
+  val masks: Array[Array[Boolean]] = new Array[Array[Boolean]](m)
   val alive: Array[Boolean] = new Array[Boolean](g.n)
+  val isQuery: Array[Boolean] = new Array[Boolean](g.n)
+  /** The label pairs (i, j), i < j, in order; for m = 2 the one pair (0, 1). */
+  val pairs: Array[BCCEngine.Pair] = new Array[BCCEngine.Pair](m * (m - 1) / 2)
   locally {
+    var i = 0
+    while (i < m) { labels(i) = g.labels(queries(i)); masks(i) = new Array[Boolean](g.n); i += 1 }
     var v = 0
     while (v < g.n) {
-      isLeft(v) = g.labels(v) == leftLabel
-      isRight(v) = g.labels(v) == rightLabel
-      alive(v) = true
+      i = 0
+      while (i < m && g.labels(v) != labels(i)) i += 1
+      group(v) = if (i < m) i else -1
+      if (i < m) { masks(i)(v) = true; alive(v) = true }
       v += 1
     }
+    // a query sharing an earlier query's label lands in that query's group
+    i = 0
+    while (i < m && group(queries(i)) == i) { isQuery(queries(i)) = true; i += 1 }
+    require(i == m, "query vertices must have pairwise different labels")
+    var p = 0
+    for (a <- 0 until m; c <- a + 1 until m) { pairs(p) = new BCCEngine.Pair(Array(a, c), g.n); p += 1 }
   }
-  var aliveCount: Int = g.n
 
-  /** True for the two query vertices. */
-  val isQuery: Int => Boolean = v => v == ql || v == qr
+  /** Degree towards alive same-group neighbours (the per-group core degree). */
+  val intraDeg: Array[Int] = BCCEngine.intraDegrees(g, group)
 
-  /** Degree towards alive same-label neighbors (the per-side core degree). */
-  val intraDeg: Array[Int] = BCCEngine.intraDegrees(g)
-
-  /** Butterfly degrees from the last full count (Algorithm 3); entries for
-    * leader vertices are kept exact between counts via Algorithm 7, others
-    * may go stale until the next full count.
-    */
-  var chi: Array[Long] = new Array[Long](g.n)
-
-  /** True once `chi` holds a real count (seeded from Algorithm 2 or set by
-    * [[fullButterflyCount]]).
+  /** True once every pair's `chi` holds a real count (seeded from Algorithm 2
+    * or set by [[fullButterflyCount]]).
     */
   var chiInitialized: Boolean = false
 
-  /** Seed `chi` from a count already performed (e.g. Algorithm 2's). */
+  /** Seed the one pair's `chi` (m = 2) from a count already performed (e.g.
+    * Algorithm 2's).
+    */
   def seedChi(values: Array[Long]): Unit = {
-    require(values.length == g.n)
-    chi = values.clone()
+    require(m == 2 && values.length == g.n)
+    pairs(0).chi = values.clone()
+    checkPair(0)
     chiInitialized = true
   }
 
-  /** Core threshold of v's side. */
-  def kOf(v: Int): Int = if (isLeft(v)) params.k1 else params.k2
-
-  /** Full per-vertex butterfly recount over alive vertices (Algorithm 3). */
-  def fullButterflyCount(): Unit = {
+  /** Per-vertex butterfly recount of pair `p` over alive vertices (Algorithm 3). */
+  def count(p: Int): Unit = {
+    val groups = pairs(p).groups
     inst.butterflyCountCalls += 1
-    inst.timeButterflyCount { chi = g.butterflyDegrees(isLeft, isRight, alive) }
-    chiInitialized = true
+    inst.timeButterflyCount { pairs(p).chi = g.butterflyDegrees(masks(groups(0)), masks(groups(1)), alive) }
+    checkPair(p)
   }
 
-  /** Max butterfly degree among alive vertices of one side. */
-  def maxChi(left: Boolean): Long = BCCEngine.maxOn(chi, if (left) isLeft else isRight, alive)
+  /** Recount every pair (Algorithm 3 once per pair). */
+  def fullButterflyCount(): Unit = { pairs.indices.foreach(count); chiInitialized = true }
+
+  /** Max butterfly degree of pair `p` among the alive vertices of its side `s` (0 or 1). */
+  def maxChi(p: Int, s: Int): Long = BCCEngine.maxOn(pairs(p).chi, masks(pairs(p).groups(s)), alive)
+
+  private def checkPair(p: Int): Unit = pairs(p).valid = maxChi(p, 0) >= b && maxChi(p, 1) >= b
 
   /** Delete `seeds` and cascade core maintenance (Algorithm 4).
     *
@@ -84,15 +100,23 @@ final class BCCEngine(
     *         caller must stop using it.
     */
   def deleteCascade(seeds: Array[Int], onDelete: Int => Unit = _ => ()): Option[Array[Int]] =
-    BCCEngine.cascade(g, alive, intraDeg, kOf, isQuery, seeds,
-      v => { onDelete(v); aliveCount -= 1 })
-
-  /** External ids of the currently alive vertices. */
-  def aliveIds: Set[Long] =
-    (0 until g.n).iterator.filter(alive).map(g.ids).toSet
+    BCCEngine.cascade(g, alive, intraDeg, group, ks, isQuery, seeds, onDelete)
 }
 
 object BCCEngine {
+
+  /** Butterfly state of the bipartite graph between groups `groups(0)` <
+    * `groups(1)`: the degrees `chi` from the last count (Algorithm 3; a
+    * leader's entry is kept exact between counts by Algorithm 7, the others
+    * may go stale), one leader per side (-1 until identified), and whether
+    * both sides still reach b. Degrees only fall as vertices die, so a pair
+    * found invalid stays invalid.
+    */
+  final class Pair(val groups: Array[Int], n: Int) {
+    var chi: Array[Long] = new Array[Long](n)
+    val leaders: Array[Int] = Array(-1, -1)
+    var valid: Boolean = true
+  }
 
   /** Max of `chi` over the vertices in `mask` (all if null) that are alive
     * (all if null); 0 when there is none.
@@ -107,31 +131,31 @@ object BCCEngine {
     best
   }
 
-  /** Number of same-label neighbours of every vertex (the per-side core degree). */
-  def intraDegrees(g: LocalGraph): Array[Int] = {
+  /** Number of same-group neighbours of every vertex (the per-group core degree). */
+  def intraDegrees(g: LocalGraph, group: Array[Int]): Array[Int] = {
     val deg = new Array[Int](g.n)
     var v = 0
     while (v < g.n) {
-      val lab = g.labels(v)
       val ns = g.neighbors(v)
       var j = 0
-      while (j < ns.length) { if (g.labels(ns(j)) == lab) deg(v) += 1; j += 1 }
+      while (j < ns.length) { if (group(ns(j)) == group(v)) deg(v) += 1; j += 1 }
       v += 1
     }
     deg
   }
 
-  /** Algorithm 4 over any label groups: delete `seeds`, then every alive
-    * vertex whose same-label degree `intraDeg` drops below `kOf`. Fires
-    * `onDelete(v)` just before `v` is marked dead; returns the removed
-    * vertices in order, or None as soon as an `isQuery` vertex would go.
+  /** Algorithm 4: delete `seeds`, then every alive vertex whose same-group
+    * degree `intraDeg` drops below its group's `ks`. Fires `onDelete(v)` just
+    * before `v` is marked dead; returns the removed vertices in order, or
+    * None as soon as an `isQuery` vertex would go.
     */
   def cascade(
       g: LocalGraph,
       alive: Array[Boolean],
       intraDeg: Array[Int],
-      kOf: Int => Int,
-      isQuery: Int => Boolean,
+      group: Array[Int],
+      ks: Array[Int],
+      isQuery: Array[Boolean],
       seeds: Array[Int],
       onDelete: Int => Unit): Option[Array[Int]] = {
     // FIFO queue; a vertex re-enters each time its degree drops while below k
@@ -150,14 +174,14 @@ object BCCEngine {
         if (nRemoved == removed.length) removed = java.util.Arrays.copyOf(removed, 2 * nRemoved)
         removed(nRemoved) = v
         nRemoved += 1
-        val lab = g.labels(v)
+        val grp = group(v)
         val ns = g.neighbors(v)
         var j = 0
         while (j < ns.length) {
           val u = ns(j)
-          if (alive(u) && g.labels(u) == lab) {
+          if (alive(u) && group(u) == grp) {
             intraDeg(u) -= 1
-            if (intraDeg(u) < kOf(u)) {
+            if (intraDeg(u) < ks(grp)) {
               if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
               queue(tail) = u
               tail += 1

@@ -1,9 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.graph.{ButterflyCount, KCore, LabeledGraph, LocalGraph}
+import repro.graph.LocalGraph
 
 /** The offline butterfly-core index (paper §6.3): per-vertex coreness within
   * its own label-induced subgraph plus per-label-pair butterfly degrees over
@@ -68,18 +66,4 @@ final class BCIndex(val g: LocalGraph) {
 object BCIndex {
 
   def build(g: LocalGraph): BCIndex = new BCIndex(g)
-
-  /** Distributed index construction: per-label coreness `(id, coreness)` via
-    * the iterated h-index dataflow, one label subgraph at a time.
-    */
-  def corenessSpark(g: LabeledGraph): DataFrame = {
-    val labels = g.vertices.select("label").distinct().collect().map(_.getString(0))
-    labels
-      .map(lab => KCore.coreness(g.labelSubgraph(lab)))
-      .reduce(_ union _)
-  }
-
-  /** Distributed per-pair butterfly degrees `(id, chi)`. */
-  def butterflySpark(g: LabeledGraph, labA: String, labB: String): DataFrame =
-    ButterflyCount.perVertex(g.crossEdges(labA, labB))
 }

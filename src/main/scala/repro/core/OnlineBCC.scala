@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.eval.Instrument
-import repro.graph.{LabeledGraph, LocalGraph}
+import repro.graph.LocalGraph
 
 /** Algorithm 1, naive instantiation (the paper's Online-BCC): full BFS query
   * distances and a full butterfly recount on every deletion round.
@@ -18,21 +18,6 @@ object OnlineBCC {
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
       LocalBCC.findG0(g, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.Naive, inst, computeDiameter))
-    }
-
-  /** Distributed candidate extraction (Algorithm 2 as DataFrame dataflow)
-    * followed by the driver-side refinement loop.
-    */
-  def runSpark(
-      g: LabeledGraph,
-      qlId: Long,
-      qrId: Long,
-      params: BCCParams,
-      inst: Instrument = new Instrument,
-      computeDiameter: Boolean = true): Option[BCCResult] =
-    inst.timeTotal {
-      FindG0.find(g, qlId, qrId, params, inst)
         .flatMap(Refine.fromCandidate(_, params, Refine.Naive, inst, computeDiameter))
     }
 }
@@ -52,18 +37,6 @@ object LPBCC {
       computeDiameter: Boolean = true): Option[BCCResult] =
     inst.timeTotal {
       LocalBCC.findG0(g, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
-    }
-
-  def runSpark(
-      g: LabeledGraph,
-      qlId: Long,
-      qrId: Long,
-      params: BCCParams,
-      inst: Instrument = new Instrument,
-      computeDiameter: Boolean = true): Option[BCCResult] =
-    inst.timeTotal {
-      FindG0.find(g, qlId, qrId, params, inst)
         .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
     }
 }

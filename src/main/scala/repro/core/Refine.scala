@@ -3,11 +3,13 @@ package repro.core
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
-/** The greedy refinement loop of Algorithm 1 with bulk deletion, shared by
-  * Online-BCC (naive mode: full BFS + full butterfly recount every round)
-  * and LP-BCC (fast mode: Algorithm 5 incremental distances + Algorithm 6/7
-  * leader-pair tracking). All methods in the paper use bulk deletion: every
-  * vertex at the current maximum query distance is removed per round.
+/** The greedy refinement loop of Algorithm 1 with bulk deletion over m >= 2
+  * label groups, shared by Online-BCC (naive mode: full BFS + a recount of
+  * every label pair the stop test consults, every round), LP-BCC (fast mode:
+  * Algorithm 5 incremental distances + Algorithm 6/7 leader-pair tracking)
+  * and mBCC (Algorithm 9, in either mode). All methods in the paper use bulk
+  * deletion: every vertex at the current maximum query distance is removed
+  * per round.
   *
   * The loop snapshots each intermediate graph that is a *connected* valid
   * BCC and finally returns the snapshot with minimum query distance — the
@@ -35,74 +37,94 @@ object Refine {
     run(e, mode, computeDiameter)
   }
 
-  /** Run the loop on a candidate engine whose initial state is a valid
-    * (k1,k2,b)-BCC (cores maintained, butterfly constraint satisfiable).
-    * Returns None when no connected snapshot containing Q exists.
+  /** Run the loop on a candidate engine whose groups are their cores. It
+    * stops once the label meta-graph (an edge between two groups whose
+    * bipartite graph reaches b on both sides, Def. 7) is disconnected; for
+    * m = 2 that is the butterfly constraint of Def. 4. Returns None when it
+    * is disconnected from the start or no connected snapshot containing Q
+    * exists; the result carries the labels of groups 0 and 1.
     */
   def run(e: BCCEngine, mode: Mode, computeDiameter: Boolean = true): Option[BCCResult] = {
     val g = e.g
     val inst = e.inst
+    val fast = mode == FastLP
+    val pairs = e.pairs
+    var lastDeleted: Array[Int] = null // null only before the first round
+    // each query's distances: a BFS, or Algorithm 5 after a round in LP mode
+    val dists = new Array[Array[Int]](e.m)
+    def updateDists(): Unit = inst.timeQueryDist {
+      for (i <- 0 until e.m)
+        if (fast && lastDeleted != null) FastDist.update(g, e.alive, dists(i), lastDeleted)
+        else dists(i) = g.bfs(Seq(e.queries(i)), e.alive)
+    }
+    updateDists()
 
-    val dists = Array(
-      inst.timeQueryDist(g.bfs(Seq(e.ql), e.alive)),
-      inst.timeQueryDist(g.bfs(Seq(e.qr), e.alive)))
-    def distL = dists(0)
-    def distR = dists(1)
-
-    // Leader pair setup: one initial full count, then Algorithm 7 updates.
-    var lLeft = -1
-    var lRight = -1
-    if (mode == FastLP) {
+    // Algorithm 6 on both sides of pair p, each from its own query's distances
+    def identify(p: Int): Unit =
+      for (s <- 0 to 1) pairs(p).leaders(s) = LeaderPair.identify(e, p, s, dists(pairs(p).groups(s)))
+    if (fast) {
       if (!e.chiInitialized) e.fullButterflyCount() // Algorithm 2 usually seeds this
-      lLeft = LeaderPair.identify(e, left = true, distL)
-      lRight = LeaderPair.identify(e, left = false, distR)
+      for (p <- pairs.indices if pairs(p).valid) identify(p)
     }
     val hook: Int => Unit =
-      if (mode == Naive) _ => ()
+      if (!fast) _ => ()
       else v => inst.timeLeaderUpdate {
-        if (lLeft >= 0) LeaderPair.updateOnDeletion(e, lLeft, v)
-        if (lRight >= 0) LeaderPair.updateOnDeletion(e, lRight, v)
+        var p = 0
+        while (p < pairs.length) {
+          if (pairs(p).valid) {
+            LeaderPair.updateOnDeletion(e, p, pairs(p).leaders(0), v)
+            LeaderPair.updateOnDeletion(e, p, pairs(p).leaders(1), v)
+          }
+          p += 1
+        }
       }
 
+    // Does pair p still reach b on both sides? Online recounts it; LP trusts
+    // its leaders while both are alive and >= b, and otherwise recounts and
+    // re-identifies them
+    def pairOk(p: Int): Boolean = {
+      val pr = pairs(p)
+      def leaderOk(l: Int): Boolean = e.alive(l) && pr.chi(l) >= e.b
+      pr.valid && (fast && leaderOk(pr.leaders(0)) && leaderOk(pr.leaders(1)) || {
+        e.count(p)
+        if (fast && pr.valid) identify(p)
+        pr.valid
+      })
+    }
+    // Cross-group connectivity: union-find over the label meta-graph,
+    // consulting a pair only while its groups are apart
+    def metaConnected(ok: Int => Boolean): Boolean = {
+      val parent = Array.range(0, e.m)
+      def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); r }
+      var parts = e.m
+      var p = 0
+      while (parts > 1 && p < pairs.length) {
+        val a = find(pairs(p).groups(0))
+        val c = find(pairs(p).groups(1))
+        if (a != c && ok(p)) { parent(a) = c; parts -= 1 }
+        p += 1
+      }
+      parts == 1
+    }
+    if (!metaConnected(pairs(_).valid)) return None
+
     val rounds = new Rounds(e.alive)
-    var lastDeleted: Array[Int] = null // null only before the first round
     var go = true
 
     while (go) {
       inst.rounds += 1
-      if (lastDeleted != null) mode match {
-        case Naive =>
-          dists(0) = inst.timeQueryDist(g.bfs(Seq(e.ql), e.alive))
-          dists(1) = inst.timeQueryDist(g.bfs(Seq(e.qr), e.alive))
-        case FastLP =>
-          inst.timeQueryDist {
-            FastDist.update(g, e.alive, distL, lastDeleted)
-            FastDist.update(g, e.alive, distR, lastDeleted)
-          }
-      }
+      if (lastDeleted != null) updateDists()
 
-      if (distL(e.qr) == Inf) go = false // Q disconnected: no further BCC
+      if (dists(0)(e.queries(e.m - 1)) == Inf) go = false // Q disconnected: no further BCC
       else {
         val batch = rounds.next(dists)
-        if (containsAny(batch, e.isQuery)) go = false
+        if (batch.exists(e.isQuery(_))) go = false
         else e.deleteCascade(batch, hook) match {
           case None => go = false // a query vertex was peeled
           case Some(removed) =>
             rounds.deleted(removed)
             lastDeleted = removed
-            // Online recounts every round; LP only once a leader dies or
-            // drops below b, and then re-identifies the pair
-            def leadersOk: Boolean =
-              lLeft >= 0 && e.alive(lLeft) && e.chi(lLeft) >= e.params.b &&
-                lRight >= 0 && e.alive(lRight) && e.chi(lRight) >= e.params.b
-            if (mode == Naive || !leadersOk) {
-              e.fullButterflyCount()
-              if (e.maxChi(true) < e.params.b || e.maxChi(false) < e.params.b) go = false
-              else if (mode == FastLP) {
-                lLeft = LeaderPair.identify(e, left = true, distL)
-                lRight = LeaderPair.identify(e, left = false, distR)
-              }
-            }
+            if (!metaConnected(pairOk)) go = false
         }
       }
     }
@@ -110,11 +132,11 @@ object Refine {
     rounds.best.map { mask =>
       val ids = (0 until g.n).iterator.filter(mask).map(g.ids).toSet
       val diam = if (computeDiameter) g.diameter(mask) else -1
-      BCCResult(ids, e.leftLabel, e.rightLabel, rounds.bestQd, diam, inst.rounds)
+      BCCResult(ids, e.labels(0), e.labels(1), rounds.bestQd, diam, inst.rounds)
     }
   }
 
-  /** The per-round bookkeeping of bulk deletion, shared with [[MultiBCC]] and PSA:
+  /** The per-round bookkeeping of bulk deletion, shared with CTC and PSA:
     * each round's batch (the alive vertices at the largest query distance,
     * Def. 5) from one pass, and a deletion log from which the best snapshot
     * (the graph at the start of the round with the smallest finite query
@@ -176,12 +198,5 @@ object Refine {
         while (v < n) { mask(v) = deletedIn(v) >= bestRound; v += 1 }
         Some(mask)
       }
-  }
-
-  /** True if some vertex of `vs` satisfies `p`. */
-  private[core] def containsAny(vs: Array[Int], p: Int => Boolean): Boolean = {
-    var i = 0
-    while (i < vs.length && !p(vs(i))) i += 1
-    i < vs.length
   }
 }

@@ -36,11 +36,4 @@ object ButterflyCount {
       .join(counted, Seq("id"), "left")
       .select(col("id"), coalesce(col("chi"), lit(0L)).cast("long").as("chi"))
   }
-
-  /** Total number of butterflies in the bipartite graph. */
-  def total(crossEdges: DataFrame): Long = {
-    val chi = perVertex(crossEdges).agg(sum("chi")).collect()(0)
-    // each butterfly is counted once per each of its 4 vertices
-    if (chi.isNullAt(0)) 0L else chi.getLong(0) / 4
-  }
 }

@@ -3,14 +3,12 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** Distributed k-truss support computation and truss filtering.
+/** Distributed k-truss edge support.
   *
   * Edge support (#triangles through each edge) is computed by the classic
   * wedge join: canonical edges joined with themselves to enumerate wedges,
-  * closed by a third join against the edge set. `maxKTrussEdges` iteratively
-  * removes edges with support < k - 2 (one support recomputation per cascade
-  * round). The full truss decomposition used by the CTC baseline runs on the
-  * driver ([[LocalGraph.trussness]]) over candidate subgraphs.
+  * closed by a third join against the edge set. The truss decomposition used
+  * by the CTC baseline is local ([[LocalGraph.trussIndex]]).
   */
 object Truss {
 
@@ -31,24 +29,5 @@ object Truss {
       .agg(count("*").as("support"))
     e.join(closing, Seq("src", "dst"), "left")
       .select(col("src"), col("dst"), coalesce(col("support"), lit(0L)).as("support"))
-  }
-
-  /** Canonical edges of the maximal k-truss of `g` (fixpoint peeling). */
-  def maxKTrussEdges(g: LabeledGraph, k: Int): DataFrame = {
-    var cur = g.edges.localCheckpoint(true)
-    var done = false
-    var guard = 0
-    while (!done && guard < 10000) {
-      guard += 1
-      val sup = edgeSupport(cur)
-      val next = sup
-        .filter(col("support") >= k - 2)
-        .select("src", "dst")
-        .localCheckpoint(true)
-      if (next.count() == cur.count()) done = true
-      cur = next
-      if (cur.isEmpty) done = true
-    }
-    cur
   }
 }

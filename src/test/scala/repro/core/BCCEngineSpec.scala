@@ -37,7 +37,7 @@ class BCCEngineSpec extends AnyFunSuite {
     val removed = e.deleteCascade(Array(g.indexOf(2L)))
     assert(removed.isDefined)
     assert(removed.get.map(e.g.ids).toSet == Set(2L)) // 1 still has neighbor 0
-    assert(e.aliveCount == 4)
+    assert(e.alive.count(identity) == 4)
   }
 
   test("deleteCascade fails when the cascade reaches a query vertex") {
@@ -66,11 +66,11 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
     e.fullButterflyCount()
-    assert(e.chi.forall(_ == 1L))
+    assert(e.pairs(0).chi.forall(_ == 1L))
     assert(e.inst.butterflyCountCalls == 1)
     e.deleteCascade(Array(g.indexOf(3L)))
     e.fullButterflyCount()
-    assert(e.chi.forall(_ == 0L))
+    assert(e.pairs(0).chi.forall(_ == 0L))
     assert(e.inst.butterflyCountCalls == 2)
   }
 
@@ -80,8 +80,8 @@ class BCCEngineSpec extends AnyFunSuite {
       for (l <- 0L to 1L; r <- 2L to 4L) yield (l, r))
     val e = engineFor(g, 0L, 2L, 0, 0)
     e.fullButterflyCount()
-    assert(e.maxChi(left = true) == 3)
-    assert(e.maxChi(left = false) == 2)
+    assert(e.maxChi(0, 0) == 3)
+    assert(e.maxChi(0, 1) == 2)
   }
 
   test("seedChi marks chi initialized without a count call") {
@@ -90,7 +90,7 @@ class BCCEngineSpec extends AnyFunSuite {
     val e = engineFor(g, 0L, 1L, 0, 0)
     assert(!e.chiInitialized)
     e.seedChi(Array(5L, 7L))
-    assert(e.chiInitialized && e.chi.toSeq == Seq(5L, 7L))
+    assert(e.chiInitialized && e.pairs(0).chi.toSeq == Seq(5L, 7L))
     assert(e.inst.butterflyCountCalls == 0)
   }
 
@@ -101,11 +101,12 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, "A"), (1L, "A"), (2L, "B"), (3L, "B")),
       Seq((0L, 1L), (2L, 3L), (0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
-    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 1L)
-    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 2) == 1L)
+    val Array(left, right) = e.masks
+    assert(g.butterfliesLost(left, right, e.alive, 0, 1) == 1L)
+    assert(g.butterfliesLost(left, right, e.alive, 0, 2) == 1L)
     e.deleteCascade(Array(g.indexOf(3L)))
-    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 1) == 0L)
-    assert(g.butterfliesLost(e.isLeft, e.isRight, e.alive, 0, 3) == 0L) // dead
+    assert(g.butterfliesLost(left, right, e.alive, 0, 1) == 0L)
+    assert(g.butterfliesLost(left, right, e.alive, 0, 3) == 0L) // dead
   }
 
   test("aliveIds tracks deletions") {
@@ -114,6 +115,6 @@ class BCCEngineSpec extends AnyFunSuite {
       Seq((0L, 1L), (0L, 2L)))
     val e = engineFor(g, 0L, 2L, 0, 0)
     e.deleteCascade(Array(g.indexOf(1L)))
-    assert(e.aliveIds == Set(0L, 2L))
+    assert((0 until g.n).filter(e.alive).map(g.ids).toSet == Set(0L, 2L))
   }
 }

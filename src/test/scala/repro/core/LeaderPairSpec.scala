@@ -28,18 +28,19 @@ class LeaderPairSpec extends AnyFunSuite {
       val e = freshEngine(seed)
       val rnd = new Random(seed * 7)
       // pick the two argmax vertices as leaders
-      val lL = (0 until e.g.n).filter(e.isLeft).maxBy(e.chi)
-      val lR = (0 until e.g.n).filter(e.isRight).maxBy(e.chi)
+      val chi = e.pairs(0).chi
+      val lL = (0 until e.g.n).filter(e.masks(0)).maxBy(chi)
+      val lR = (0 until e.g.n).filter(e.masks(1)).maxBy(chi)
       var alive = (0 until e.g.n).filter(v => e.alive(v) && v != lL && v != lR)
       for (_ <- 0 until 15 if alive.nonEmpty) {
         val v = alive(rnd.nextInt(alive.length))
-        LeaderPair.updateOnDeletion(e, lL, v)
-        LeaderPair.updateOnDeletion(e, lR, v)
+        LeaderPair.updateOnDeletion(e, 0, lL, v)
+        LeaderPair.updateOnDeletion(e, 0, lR, v)
         e.alive(v) = false
         alive = alive.filter(_ != v)
-        val ref = e.g.butterflyDegrees(e.isLeft, e.isRight, e.alive)
-        assert(e.chi(lL) == ref(lL), s"left leader after deleting $v")
-        assert(e.chi(lR) == ref(lR), s"right leader after deleting $v")
+        val ref = e.g.butterflyDegrees(e.masks(0), e.masks(1), e.alive)
+        assert(chi(lL) == ref(lL), s"left leader after deleting $v")
+        assert(chi(lR) == ref(lR), s"right leader after deleting $v")
       }
     }
 
@@ -59,9 +60,9 @@ class LeaderPairSpec extends AnyFunSuite {
       val e = new BCCEngine(g, BCCParams(0, 0, 1), p, qr, new Instrument)
       e.fullButterflyCount()
       order.forall { v =>
-        LeaderPair.updateOnDeletion(e, p, v)
+        LeaderPair.updateOnDeletion(e, 0, p, v)
         e.alive(v) = false
-        e.chi(p) == g.butterflyDegrees(e.isLeft, e.isRight, e.alive)(p)
+        e.pairs(0).chi(p) == g.butterflyDegrees(e.masks(0), e.masks(1), e.alive)(p)
       } :| s"leader $p"
     })
   }
@@ -84,14 +85,14 @@ class LeaderPairSpec extends AnyFunSuite {
   for (seed <- 1 to 10)
     test(s"identified leader meets the butterfly threshold when possible, seed=$seed") {
       val e = freshEngine(seed + 100)
-      val distL = e.g.bfs(Seq(e.ql), e.alive)
-      val distR = e.g.bfs(Seq(e.qr), e.alive)
-      for (left <- Seq(true, false)) {
-        val bMax = e.maxChi(left)
-        if (bMax >= e.params.b) {
-          val p = LeaderPair.identify(e, left, if (left) distL else distR)
-          assert(e.chi(p) >= e.params.b)
-          assert(if (left) e.isLeft(p) else e.isRight(p))
+      val distL = e.g.bfs(Seq(e.queries(0)), e.alive)
+      val distR = e.g.bfs(Seq(e.queries(1)), e.alive)
+      for (side <- Seq(0, 1)) {
+        val bMax = e.maxChi(0, side)
+        if (bMax >= e.b) {
+          val p = LeaderPair.identify(e, 0, side, if (side == 0) distL else distR)
+          assert(e.pairs(0).chi(p) >= e.b)
+          assert(e.masks(side)(p))
         }
       }
     }
@@ -103,7 +104,7 @@ class LeaderPairSpec extends AnyFunSuite {
       Seq((0L, 2L), (0L, 3L), (1L, 2L), (1L, 3L)))
     val e = new BCCEngine(g, BCCParams(0, 0, 1), 0, 2, new Instrument)
     e.fullButterflyCount()
-    val p = LeaderPair.identify(e, left = true, g.bfs(Seq(0)))
+    val p = LeaderPair.identify(e, 0, 0, g.bfs(Seq(0)))
     assert(p == 0)
   }
 
@@ -117,19 +118,20 @@ class LeaderPairSpec extends AnyFunSuite {
     val e = new BCCEngine(g, BCCParams(0, 0, 0), 0, 1, new Instrument)
     e.fullButterflyCount()
     var p = -1
-    val t = new Thread(() => p = LeaderPair.identify(e, left = true, g.bfs(Seq(0))))
+    val t = new Thread(() => p = LeaderPair.identify(e, 0, 0, g.bfs(Seq(0))))
     t.setDaemon(true) // a hung search must not keep the test JVM alive
     t.start()
     t.join(10000)
     assert(!t.isAlive, "identify did not return within 10 s")
-    assert(e.isLeft(p) && e.chi(p) >= e.params.b)
+    assert(e.masks(0)(p) && e.pairs(0).chi(p) >= e.b)
   }
 
   test("updateOnDeletion ignores dead or self vertices") {
     val e = freshEngine(3)
-    val lL = (0 until e.g.n).filter(e.isLeft).maxBy(e.chi)
-    val before = e.chi(lL)
-    LeaderPair.updateOnDeletion(e, lL, lL) // self: no-op
-    assert(e.chi(lL) == before)
+    val chi = e.pairs(0).chi
+    val lL = (0 until e.g.n).filter(e.masks(0)).maxBy(chi)
+    val before = chi(lL)
+    LeaderPair.updateOnDeletion(e, 0, lL, lL) // self: no-op
+    assert(chi(lL) == before)
   }
 }

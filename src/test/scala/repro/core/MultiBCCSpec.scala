@@ -1,8 +1,10 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{GraphGen, QueryGen}
-import repro.graph.LocalGraph
+import repro.graph.{GraphGens, LocalGraph}
 
 /** Tests for the multi-labeled BCC model (Section 7). */
 class MultiBCCSpec extends AnyFunSuite {
@@ -80,6 +82,31 @@ class MultiBCCSpec extends AnyFunSuite {
         assert(slow.map(_.queryDistance) == fast.map(_.queryDistance))
       }
     }
+
+  /** A random graph on 3-4 labels with three queries of distinct labels,
+    * core thresholds in 0..4 and a butterfly threshold in 0..3.
+    */
+  private val m3Case: Gen[(LocalGraph, Seq[Long], Seq[Int], Int)] = for {
+    g <- GraphGens.graphOn(Gen.choose(3, 4)).suchThat(_.labelSet.size >= 3)
+    labs <- Gen.pick(3, g.labelSet.toSeq.sorted)
+    qs <- Gen.sequence[Seq[Long], Long](labs.map(l => Gen.oneOf(g.labelVertices(l).toSeq).map(g.ids)))
+    ks <- Gen.listOfN(3, Gen.choose(0, 4))
+    b <- Gen.choose(0, 3)
+  } yield (g, qs, ks, b)
+
+  test("property: m=3 fast and naive modes agree on random graphs, and answers meet Def. 8") {
+    var found = 0 // most random cases have no mBCC; some must
+    GraphGens.check(cases = 2000, prop = forAll(m3Case) { case (g, qs, ks, b) =>
+      val slow = MultiBCC.run(g, qs, ks, b)
+      val fast = MultiBCC.run(g, qs, ks, b, fast = true)
+      slow.foreach(validateMBCC(g, _, qs, ks, b))
+      fast.foreach(validateMBCC(g, _, qs, ks, b))
+      if (slow.isDefined) found += 1
+      (slow.map(_.vertexIds) == fast.map(_.vertexIds)) :| "vertex sets" &&
+        (slow.map(_.queryDistance) == fast.map(_.queryDistance)) :| "query distance"
+    })
+    assert(found >= 10, s"only $found of 2000 cases found an mBCC")
+  }
 
   test("duplicate labels in the query are rejected") {
     val c = planted.communities.head

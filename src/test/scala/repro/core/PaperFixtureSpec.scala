@@ -79,10 +79,10 @@ class PaperFixtureSpec extends AnyFunSuite {
 
   test("Example 5: leader pair identification returns {v1, u2}") {
     val e = fig3Engine
-    val distL = e.g.bfs(Seq(e.ql), e.alive)
-    val distR = e.g.bfs(Seq(e.qr), e.alive)
-    val lL = LeaderPair.identify(e, left = true, distL, rho = 3)
-    val lR = LeaderPair.identify(e, left = false, distR, rho = 3)
+    val distL = e.g.bfs(Seq(e.queries(0)), e.alive)
+    val distR = e.g.bfs(Seq(e.queries(1)), e.alive)
+    val lL = LeaderPair.identify(e, 0, 0, distL, rho = 3)
+    val lR = LeaderPair.identify(e, 0, 1, distR, rho = 3)
     assert(e.g.ids(lL) == v1)
     assert(e.g.ids(lR) == u2)
   }
@@ -92,11 +92,12 @@ class PaperFixtureSpec extends AnyFunSuite {
     val iV1 = e.g.indexOf(v1)
     val iU2 = e.g.indexOf(u2)
     val iU6 = e.g.indexOf(u6)
-    assert(e.chi(iV1) == 6 && e.chi(iU2) == 3)
-    LeaderPair.updateOnDeletion(e, iU2, iU6) // same label: alpha = |{v1,v3}| = 2
-    assert(e.chi(iU2) == 2)
-    LeaderPair.updateOnDeletion(e, iV1, iU6) // cross label: beta = 3
-    assert(e.chi(iV1) == 3)
+    val chi = e.pairs(0).chi
+    assert(chi(iV1) == 6 && chi(iU2) == 3)
+    LeaderPair.updateOnDeletion(e, 0, iU2, iU6) // same label: alpha = |{v1,v3}| = 2
+    assert(chi(iU2) == 2)
+    LeaderPair.updateOnDeletion(e, 0, iV1, iU6) // cross label: beta = 3
+    assert(chi(iV1) == 3)
   }
 
   test("Example 6 first step: deleting u9 does not change leader degrees") {
@@ -104,9 +105,9 @@ class PaperFixtureSpec extends AnyFunSuite {
     val iV1 = e.g.indexOf(v1)
     val iU2 = e.g.indexOf(u2)
     val iU9 = e.g.indexOf(u9)
-    LeaderPair.updateOnDeletion(e, iV1, iU9)
-    LeaderPair.updateOnDeletion(e, iU2, iU9)
-    assert(e.chi(iV1) == 6 && e.chi(iU2) == 3)
+    LeaderPair.updateOnDeletion(e, 0, iV1, iU9)
+    LeaderPair.updateOnDeletion(e, 0, iU2, iU9)
+    assert(e.pairs(0).chi(iV1) == 6 && e.pairs(0).chi(iU2) == 3)
   }
 
   // ---- Figure 1 / Figure 2 ----

@@ -2,11 +2,14 @@ package repro.core
 
 import repro.SparkSpec
 import repro.data.{GraphGen, QueryGen}
-import repro.graph.LabeledGraph
+import repro.eval.Instrument
+import repro.graph.{ButterflyCount, KCore, LabeledGraph}
 
 /** Integration: the distributed Algorithm 2 (DataFrame dataflow) must agree
-  * exactly with the driver-side version, and the full Spark pipeline must
-  * return the same communities as the local pipeline.
+  * exactly with the local version, the hybrid pipeline (distributed
+  * Algorithm 2, local refinement) must return the same communities as the
+  * local pipeline, and the DataFrame coreness and butterfly operators
+  * must reproduce the local index.
   */
 class SparkPipelineSpec extends SparkSpec {
 
@@ -42,43 +45,29 @@ class SparkPipelineSpec extends SparkSpec {
 
     test(s"query $i: runSpark community equals local run (Online)") {
       val params = LocalBCC.defaultParams(planted.graph, q.ql, q.qr)
-      val d = OnlineBCC.runSpark(sparkGraph, q.ql, q.qr, params, computeDiameter = false)
+      val d = FindG0.find(sparkGraph, q.ql, q.qr, params)
+        .flatMap(Refine.fromCandidate(_, params, Refine.Naive, new Instrument, computeDiameter = false))
       val l = OnlineBCC.run(planted.graph, q.ql, q.qr, params, computeDiameter = false)
       assert(d.map(_.vertexIds) == l.map(_.vertexIds))
     }
 
     test(s"query $i: runSpark community equals local run (LP)") {
       val params = LocalBCC.defaultParams(planted.graph, q.ql, q.qr)
-      val d = LPBCC.runSpark(sparkGraph, q.ql, q.qr, params, computeDiameter = false)
+      val d = FindG0.find(sparkGraph, q.ql, q.qr, params)
+        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, new Instrument, computeDiameter = false))
       val l = LPBCC.run(planted.graph, q.ql, q.qr, params, computeDiameter = false)
       assert(d.map(_.vertexIds) == l.map(_.vertexIds))
     }
   }
 
-  test("fully distributed refinement returns the Figure 2 community") {
-    val g = LabeledGraph.fromLocal(spark, PaperGraphs.figure1)
-    val res = DistOnlineBCC.run(g, PaperGraphs.Fig1Ids.ql, PaperGraphs.Fig1Ids.qr, BCCParams(4, 3, 1))
-    assert(res.map(_.vertexIds).contains(PaperGraphs.figure2Community))
-  }
-
-  test("fully distributed refinement equals the driver-side loop on a planted query") {
-    // a small planted graph keeps the per-round Spark job count affordable
-    val small = GraphGen.planted2Label(
-      GraphGen.SnapParams("tiny", 8, 8, 14, 4, 0.15, 0.10, 5L))
-    val q = QueryGen.queries2(small, n = 1, seed = 6).head
-    val params = LocalBCC.defaultParams(small.graph, q.ql, q.qr)
-    val sg = LabeledGraph.fromLocal(spark, small.graph).cached()
-    val d = DistOnlineBCC.run(sg, q.ql, q.qr, params)
-    val l = OnlineBCC.run(small.graph, q.ql, q.qr, params, computeDiameter = false)
-    assert(d.map(_.vertexIds) == l.map(_.vertexIds))
-    assert(d.map(_.queryDistance) == l.map(_.queryDistance))
-  }
-
   test("distributed BCIndex coreness matches the local index") {
     val g = PaperGraphs.figure1
     val idx = BCIndex.build(g)
-    val dCoreness = BCIndex
-      .corenessSpark(LabeledGraph.fromLocal(spark, g))
+    // per label, the distributed coreness of its label-induced subgraph
+    val sg = LabeledGraph.fromLocal(spark, g)
+    val dCoreness = g.labelSet.toSeq
+      .map(lab => KCore.coreness(sg.labelSubgraph(lab)))
+      .reduce(_ union _)
       .collect()
       .map(r => r.getLong(0) -> r.getInt(1))
       .toMap
@@ -90,8 +79,8 @@ class SparkPipelineSpec extends SparkSpec {
     val g = PaperGraphs.figure3
     val idx = BCIndex.build(g)
     val local = idx.butterflyDegrees("SE", "UI")
-    val dist = BCIndex
-      .butterflySpark(LabeledGraph.fromLocal(spark, g), "SE", "UI")
+    val dist = ButterflyCount
+      .perVertex(LabeledGraph.fromLocal(spark, g).crossEdges("SE", "UI"))
       .collect()
       .map(r => r.getLong(0) -> r.getLong(1))
       .toMap

@@ -140,38 +140,6 @@ class DistributedGraphSpec extends SparkSpec {
     assert(ids == Set(0L, 1L, 2L))
   }
 
-  for (seed <- 1 to 3)
-    test(s"distributed BFS matches LocalGraph, seed=$seed") {
-      val lg = GraphGen.randomLabeled(60, 3.0, Seq("X"), seed * 41)
-      val g = toSpark(lg)
-      val src = lg.ids(0)
-      val got = BFS.distances(g, Seq(src)).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-      val expected = lg.bfs(Seq(0))
-      for (v <- 0 until lg.n) {
-        if (expected(v) == LocalGraph.Inf) assert(!got.contains(lg.ids(v)))
-        else assert(got(lg.ids(v)) == expected(v), s"vertex ${lg.ids(v)}")
-      }
-    }
-
-  test("distributed max k-truss matches local trussness") {
-    val lg = GraphGen.randomLabeled(40, 5.0, Seq("X"), 43)
-    val g = toSpark(lg)
-    val t = lg.trussness()
-    for (k <- Seq(3, 4)) {
-      val got = Truss
-        .maxKTrussEdges(g, k)
-        .collect()
-        .map(r => (r.getLong(0), r.getLong(1)))
-        .toSet
-      val expected = t.iterator.collect {
-        case ((u, v), tv) if tv >= k =>
-          val a = lg.ids(u); val b = lg.ids(v)
-          (math.min(a, b), math.max(a, b))
-      }.toSet
-      assert(got == expected, s"k=$k")
-    }
-  }
-
   test("labelSubgraph keeps only intra-label edges") {
     val lg = GraphGen.randomLabeled(40, 4.0, Seq("A", "B"), 47)
     val g = toSpark(lg)
