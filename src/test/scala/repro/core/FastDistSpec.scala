@@ -1,9 +1,11 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.Prop.{forAllNoShrink, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.data.GraphGen
-import repro.graph.LocalGraph
+import repro.graph.{GraphGens, LocalGraph}
 
 /** Property tests: Algorithm 5's incremental query-distance update must
   * agree exactly with a from-scratch BFS after every deletion batch.
@@ -32,6 +34,57 @@ class FastDistSpec extends AnyFunSuite {
     test(s"incremental update equals full BFS under random deletions, seed=$seed") {
       checkRandomDeletions(seed, rounds = 10)
     }
+
+  /** A graph, two distinct query vertices and a seed for the deletions. */
+  private val deletionCases = for {
+    g <- GraphGens.graphOn(Gen.choose(1, 3), Gen.choose(2, 40))
+    q0 <- Gen.choose(0, g.n - 1)
+    off <- Gen.choose(1, g.n - 1)
+    seed <- Gen.long
+  } yield (g, q0, (q0 + off) % g.n, seed)
+
+  /** 1-6 alive non-query vertices: drawn at random, or (about a third of the
+    * batches each) a whole layer of `dist` when it is small enough, which
+    * cuts off everything beyond it, or one vertex from each of several
+    * layers, as an Algorithm 4 cascade removes them.
+    */
+  private def nextBatch(rnd: Random, alive: Array[Boolean], dist: Array[Int], isQuery: Int => Boolean): Array[Int] = {
+    val free = rnd.shuffle(alive.indices.filter(v => alive(v) && !isQuery(v)).toList)
+    val layers = free.filter(dist(_) != LocalGraph.Inf).groupBy(dist(_)).values.toList
+    (rnd.nextInt(3) match {
+      case 1 if layers.nonEmpty => layers(rnd.nextInt(layers.size))
+      case 2 if layers.size > 1 => rnd.shuffle(layers).map(_.head)
+      case _ => free
+    }).take(1 + rnd.nextInt(6)).toArray
+  }
+
+  test("property: two query distances updated through one shared state equal a fresh BFS after every batch") {
+    var disconnecting, mixed = 0 // batches that cut a query off part of its graph, or span layers
+    GraphGens.check(cases = 500, prop = forAllNoShrink(deletionCases) { case (g, q0, q1, seed) =>
+      val rnd = new Random(seed)
+      val alive = Array.fill(g.n)(true)
+      val dists = Array(g.bfs(Seq(q0), alive), g.bfs(Seq(q1), alive))
+      val update: (Array[Int], Array[Int]) => Unit = FastDist.update(g, alive, _, _)
+      var ok = true
+      var round = 0
+      while (ok && round < 8) {
+        round += 1
+        val batch = nextBatch(rnd, alive, dists(rnd.nextInt(2)), v => v == q0 || v == q1)
+        if (batch.nonEmpty) {
+          if (batch.map(dists(0)(_)).filter(_ != LocalGraph.Inf).distinct.length > 1) mixed += 1
+          val reached = dists.map(_.count(_ != LocalGraph.Inf))
+          batch.foreach(alive(_) = false)
+          dists.foreach(update(_, batch))
+          val fresh = Array(g.bfs(Seq(q0), alive), g.bfs(Seq(q1), alive))
+          if (dists.indices.exists(i => fresh(i).count(_ != LocalGraph.Inf) < reached(i) - batch.length))
+            disconnecting += 1
+          ok = dists.indices.forall(i => dists(i).sameElements(fresh(i)))
+        }
+      }
+      ok :| s"distances differ from a fresh BFS after round $round"
+    })
+    assert(disconnecting >= 100 && mixed >= 100, s"disconnecting $disconnecting, mixed $mixed")
+  }
 
   test("empty deletion batch is a no-op") {
     val g = GraphGen.randomLabeled(20, 3.0, Seq("A"), 7)
