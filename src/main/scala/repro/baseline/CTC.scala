@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.Refine
+import repro.core.{FastDist, Refine}
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
@@ -20,8 +20,8 @@ import repro.graph.LocalGraph
   * deletion: supports start from the graph's per-k support memo, a deleted
   * vertex costs each live triangle through it one support on the opposite
   * edge, and an edge whose support drops below k-2 dies and costs its live
-  * triangles the same. Query distances after the first round are updated
-  * as Algorithm 5 does, from the nearest removed vertex outward.
+  * triangles the same. Query distances after the first round come from the
+  * decremental Algorithm 5 update that LP-BCC uses ([[repro.core.FastDist]]).
   */
 object CTC {
 
@@ -112,6 +112,7 @@ object CTC {
     def refine(inst: Instrument): Option[Set[Long]] = {
       sup = sup.clone()
       val dists = Array.fill(qs.length)(new Array[Int](n))
+      val fastDist = new FastDist(g)
       val rounds = new Refine.Rounds(alive)
       var removed: Array[Int] = null // the vertices the last round removed
       var go = true
@@ -119,7 +120,7 @@ object CTC {
         inst.rounds += 1
         var i = 0
         while (i < qs.length) {
-          if (removed == null) distances(qs(i), dists(i)) else update(dists(i), removed)
+          if (removed == null) distances(qs(i), dists(i)) else fastDist.update(alive, dists(i), removed)
           i += 1
         }
         val batch = rounds.next(dists)
@@ -187,32 +188,8 @@ object CTC {
       while (i < size) { dist(comp(i)) = Inf; i += 1 }
       dist(q) = 0
       next(0) = q
-      expand(dist, 1)
-    }
-
-    /** Bring `dist` up to date after `removed` left the component, as
-      * Algorithm 5 does: only the vertices farther than the nearest removed
-      * one (dMin) can move, so the BFS restarts from the survivors at dMin.
-      */
-    private def update(dist: Array[Int], removed: Array[Int]): Unit = {
-      var dMin = Inf
-      var i = 0
-      while (i < removed.length) { dMin = math.min(dMin, dist(removed(i))); i += 1 }
-      var tail = 0
-      i = 0
-      while (i < size) {
-        val v = comp(i)
-        if (dist(v) > dMin) dist(v) = Inf
-        else if (dist(v) == dMin) { next(tail) = v; tail += 1 }
-        i += 1
-      }
-      expand(dist, tail)
-    }
-
-    /** Continue a BFS over the component from `next(0 until frontier)`. */
-    private def expand(dist: Array[Int], frontier: Int): Unit = {
       var head = 0
-      var tail = frontier
+      var tail = 1
       while (head < tail) {
         val u = next(head)
         head += 1

@@ -52,9 +52,10 @@ object Refine {
     var lastDeleted: Array[Int] = null // null only before the first round
     // each query's distances: a BFS, or Algorithm 5 after a round in LP mode
     val dists = new Array[Array[Int]](e.m)
+    val fastDist = new FastDist(g)
     def updateDists(): Unit = inst.timeQueryDist {
       for (i <- 0 until e.m)
-        if (fast && lastDeleted != null) FastDist.update(g, e.alive, dists(i), lastDeleted)
+        if (fast && lastDeleted != null) fastDist.update(e.alive, dists(i), lastDeleted)
         else dists(i) = g.bfs(Seq(e.queries(i)), e.alive)
     }
     updateDists()

@@ -9,19 +9,25 @@ import org.apache.spark.sql.functions._
   * cascade, one join round per cascade level). `coreness` runs the iterated
   * h-index algorithm (Lu et al.): initialize c(v) = deg(v) and repeatedly set
   * c(v) = H-index of its neighbors' values; the fixpoint is exactly the
-  * coreness. Both truncate lineage with `localCheckpoint` each round.
+  * coreness. Both truncate lineage with `localCheckpoint` each round, and
+  * both throw `IllegalStateException` if no fixpoint is reached within their
+  * round cap, rather than return a partial result.
   */
 object KCore {
 
+  private val PeelRounds = 10000
+  private val CorenessRounds = 1000
+
   /** Vertex ids (`id` column) of the maximal subgraph with min degree >= k. */
   def kCoreVertices(g: LabeledGraph, k: Int): DataFrame = {
-    val spark = g.vertices.sparkSession
     if (k <= 0) return g.vertices.select("id")
     var cur = g.symEdges.localCheckpoint(true)
     var done = false
-    var guard = 0
-    while (!done && guard < 10000) {
-      guard += 1
+    var rounds = 0
+    while (!done) {
+      if (rounds == PeelRounds)
+        throw new IllegalStateException(s"KCore.kCoreVertices: no fixpoint within $PeelRounds rounds")
+      rounds += 1
       val deg = cur.groupBy(col("src").as("id")).agg(count("*").as("deg"))
       val bad = deg.filter(col("deg") < k).select("id").localCheckpoint(true)
       if (bad.isEmpty) done = true
@@ -39,7 +45,6 @@ object KCore {
 
   /** Per-vertex coreness `(id, coreness)` via iterated neighbor h-index. */
   def coreness(g: LabeledGraph): DataFrame = {
-    val spark = g.vertices.sparkSession
     val hIndex = udf { (xs: Seq[Long]) =>
       val sorted = xs.sortBy(-_)
       var h = 0
@@ -49,9 +54,11 @@ object KCore {
     var cur = g.degrees.select(col("id"), col("deg").as("c")).localCheckpoint(true)
     val sym = g.symEdges.localCheckpoint(true)
     var changed = true
-    var guard = 0
-    while (changed && guard < 1000) {
-      guard += 1
+    var rounds = 0
+    while (changed) {
+      if (rounds == CorenessRounds)
+        throw new IllegalStateException(s"KCore.coreness: no fixpoint within $CorenessRounds rounds")
+      rounds += 1
       val nbrVals = sym
         .join(cur.select(col("id").as("dst"), col("c").as("nc")), Seq("dst"))
         .groupBy(col("src").as("id"))

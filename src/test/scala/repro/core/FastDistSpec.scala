@@ -64,7 +64,7 @@ class FastDistSpec extends AnyFunSuite {
       val rnd = new Random(seed)
       val alive = Array.fill(g.n)(true)
       val dists = Array(g.bfs(Seq(q0), alive), g.bfs(Seq(q1), alive))
-      val update: (Array[Int], Array[Int]) => Unit = FastDist.update(g, alive, _, _)
+      val shared = new FastDist(g)
       var ok = true
       var round = 0
       while (ok && round < 8) {
@@ -74,7 +74,7 @@ class FastDistSpec extends AnyFunSuite {
           if (batch.map(dists(0)(_)).filter(_ != LocalGraph.Inf).distinct.length > 1) mixed += 1
           val reached = dists.map(_.count(_ != LocalGraph.Inf))
           batch.foreach(alive(_) = false)
-          dists.foreach(update(_, batch))
+          dists.foreach(shared.update(alive, _, batch))
           val fresh = Array(g.bfs(Seq(q0), alive), g.bfs(Seq(q1), alive))
           if (dists.indices.exists(i => fresh(i).count(_ != LocalGraph.Inf) < reached(i) - batch.length))
             disconnecting += 1

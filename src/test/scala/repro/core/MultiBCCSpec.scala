@@ -83,29 +83,43 @@ class MultiBCCSpec extends AnyFunSuite {
       }
     }
 
-  /** A random graph on 3-4 labels with three queries of distinct labels,
+  /** A random graph from `graphs` with three queries of distinct labels,
     * core thresholds in 0..4 and a butterfly threshold in 0..3.
     */
-  private val m3Case: Gen[(LocalGraph, Seq[Long], Seq[Int], Int)] = for {
-    g <- GraphGens.graphOn(Gen.choose(3, 4)).suchThat(_.labelSet.size >= 3)
+  private def m3Case(graphs: Gen[LocalGraph]): Gen[(LocalGraph, Seq[Long], Seq[Int], Int)] = for {
+    g <- graphs.suchThat(_.labelSet.size >= 3)
     labs <- Gen.pick(3, g.labelSet.toSeq.sorted)
     qs <- Gen.sequence[Seq[Long], Long](labs.map(l => Gen.oneOf(g.labelVertices(l).toSeq).map(g.ids)))
     ks <- Gen.listOfN(3, Gen.choose(0, 4))
     b <- Gen.choose(0, 3)
   } yield (g, qs, ks, b)
 
-  test("property: m=3 fast and naive modes agree on random graphs, and answers meet Def. 8") {
-    var found = 0 // most random cases have no mBCC; some must
-    GraphGens.check(cases = 2000, prop = forAll(m3Case) { case (g, qs, ks, b) =>
+  /** Fast and naive m = 3 searches agree over 2000 cases and their answers
+    * meet Def. 8; at least `minFound` cases find an mBCC and at least
+    * `minMultiRound` of those take two or more rounds.
+    */
+  private def checkM3(graphs: Gen[LocalGraph], minFound: Int, minMultiRound: Int): Unit = {
+    var found, multiRound = 0 // most random cases have no mBCC; some must
+    GraphGens.check(cases = 2000, prop = forAll(m3Case(graphs)) { case (g, qs, ks, b) =>
       val slow = MultiBCC.run(g, qs, ks, b)
       val fast = MultiBCC.run(g, qs, ks, b, fast = true)
       slow.foreach(validateMBCC(g, _, qs, ks, b))
       fast.foreach(validateMBCC(g, _, qs, ks, b))
       if (slow.isDefined) found += 1
+      if (slow.exists(_.rounds >= 2)) multiRound += 1
       (slow.map(_.vertexIds) == fast.map(_.vertexIds)) :| "vertex sets" &&
         (slow.map(_.queryDistance) == fast.map(_.queryDistance)) :| "query distance"
     })
-    assert(found >= 10, s"only $found of 2000 cases found an mBCC")
+    assert(found >= minFound && multiRound >= minMultiRound,
+      s"$found of 2000 cases found an mBCC, $multiRound in two or more rounds")
+  }
+
+  test("property: m=3 fast and naive modes agree on random graphs, and answers meet Def. 8") {
+    checkM3(GraphGens.graphOn(Gen.choose(3, 4)), minFound = 10, minMultiRound = 0)
+  }
+
+  test("property: m=3 fast and naive modes agree with bicliques across every label pair, and answers meet Def. 8") {
+    checkM3(GraphGens.graphAcrossPairs(Gen.const(3)), minFound = 100, minMultiRound = 40)
   }
 
   test("duplicate labels in the query are rejected") {

@@ -74,24 +74,6 @@ class DistributedGraphSpec extends SparkSpec {
       }
     }
 
-  test("edge support matches the DuckDB oracle") {
-    val lg = GraphGen.randomLabeled(40, 5.0, Seq("X"), 17)
-    val g = toSpark(lg)
-    val sql =
-      """SELECT e.src AS src, e.dst AS dst, CAST(COALESCE(t.c, 0) AS BIGINT) AS support
-        |FROM edges e LEFT JOIN (
-        |  SELECT s1.src AS a, s2.src AS b, COUNT(*) AS c
-        |  FROM sym s1 JOIN sym s2
-        |    ON s1.dst = s2.dst AND CAST(s1.src AS BIGINT) < CAST(s2.src AS BIGINT)
-        |  GROUP BY s1.src, s2.src
-        |) t ON e.src = t.a AND e.dst = t.b""".stripMargin
-    Oracle.assertEquivalent(
-      Truss.edgeSupport(g.edges),
-      sql,
-      "edges" -> g.edges,
-      "sym" -> g.symEdges)
-  }
-
   for ((k, seed) <- Seq((2, 1), (3, 2), (4, 3)))
     test(s"distributed k-core matches LocalGraph for k=$k") {
       val lg = GraphGen.randomLabeled(80, 5.0, Seq("X"), seed * 19)

@@ -43,6 +43,33 @@ object GraphGens {
     LocalGraph((0 until n).map(v => (v.toLong, s"L${lab(v)}")), edges.toSeq)
   }
 
+  /** Random graph on `labels` labels with a biclique planted between every
+    * pair of labels: about 30% of one label's vertices joined to about 30%
+    * of the other's. [[graphOn]] plants only between L0 and L1, so m-label
+    * searches there seldom refine for more than one round; larger bicliques
+    * put every vertex near every query, with the same effect.
+    */
+  def graphAcrossPairs(
+      labels: Gen[Int],
+      sizes: Gen[Int] = Gen.choose(12, 40),
+      density: Gen[Double] = Gen.choose(0.1, 0.4)): Gen[LocalGraph] = for {
+    n <- sizes
+    k <- labels
+    p <- density
+    seed <- Gen.long
+  } yield {
+    val rnd = new Random(seed)
+    val lab = Array.fill(n)(rnd.nextInt(k))
+    val edges = scala.collection.mutable.ArrayBuffer[(Long, Long)]()
+    for (u <- 0 until n; v <- u + 1 until n if rnd.nextDouble() < p) edges += ((u.toLong, v.toLong))
+    for (a <- 0 until k; b <- a + 1 until k) {
+      val as = (0 until n).filter(v => lab(v) == a && rnd.nextDouble() < 0.3)
+      val bs = (0 until n).filter(v => lab(v) == b && rnd.nextDouble() < 0.3)
+      for (l <- as; r <- bs) edges += ((math.min(l, r).toLong, math.max(l, r).toLong))
+    }
+    LocalGraph((0 until n).map(v => (v.toLong, s"L${lab(v)}")), edges.toSeq)
+  }
+
   /** [[graphOn]] with 2-4 labels. */
   val labeledGraph: Gen[LocalGraph] = graphOn(Gen.choose(2, 4))
 
