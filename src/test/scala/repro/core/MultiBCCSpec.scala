@@ -119,7 +119,7 @@ class MultiBCCSpec extends AnyFunSuite {
   }
 
   test("property: m=3 fast and naive modes agree with bicliques across every label pair, and answers meet Def. 8") {
-    checkM3(GraphGens.graphAcrossPairs(Gen.const(3)), minFound = 100, minMultiRound = 40)
+    checkM3(GraphGens.graphAcrossPairs, minFound = 100, minMultiRound = 40)
   }
 
   test("duplicate labels in the query are rejected") {

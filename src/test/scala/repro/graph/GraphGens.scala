@@ -43,21 +43,18 @@ object GraphGens {
     LocalGraph((0 until n).map(v => (v.toLong, s"L${lab(v)}")), edges.toSeq)
   }
 
-  /** Random graph on `labels` labels with a biclique planted between every
-    * pair of labels: about 30% of one label's vertices joined to about 30%
-    * of the other's. [[graphOn]] plants only between L0 and L1, so m-label
-    * searches there seldom refine for more than one round; larger bicliques
-    * put every vertex near every query, with the same effect.
+  /** Random graph of 12-40 vertices on three labels with a biclique planted
+    * between every pair of labels: about 30% of one label's vertices joined
+    * to about 30% of the other's. [[graphOn]] plants only between L0 and L1,
+    * so m-label searches there seldom refine for more than one round; larger
+    * bicliques put every vertex near every query, with the same effect.
     */
-  def graphAcrossPairs(
-      labels: Gen[Int],
-      sizes: Gen[Int] = Gen.choose(12, 40),
-      density: Gen[Double] = Gen.choose(0.1, 0.4)): Gen[LocalGraph] = for {
-    n <- sizes
-    k <- labels
-    p <- density
+  val graphAcrossPairs: Gen[LocalGraph] = for {
+    n <- Gen.choose(12, 40)
+    p <- Gen.choose(0.1, 0.4)
     seed <- Gen.long
   } yield {
+    val k = 3
     val rnd = new Random(seed)
     val lab = Array.fill(n)(rnd.nextInt(k))
     val edges = scala.collection.mutable.ArrayBuffer[(Long, Long)]()
