@@ -8,9 +8,10 @@ import repro.graph.LocalGraph
   * The paper's contract holds: only vertices farther than
   * `d_min = min over deleted v of dist(v, q)` can change, and only upward.
   * The update is decremental, in the style of Even and Shiloach (J. ACM
-  * 28(1), 1981) and Ramalingam and Reps (J. Algorithms 21, 1996), and touches
-  * only the vertices whose distance grows, plus their adjacency. Call a
-  * vertex's alive neighbours one layer closer to the query its parents.
+  * 28(1), 1981) and Ramalingam and Reps (J. Algorithms 21, 1996): besides
+  * the deleted vertices' adjacency, it touches only the children it must
+  * decide and the vertices whose distance grows, with their adjacency. Call
+  * a vertex's alive neighbours one layer closer to the query its parents.
   *  1. Affected vertices: the children of the deleted vertices are decided
   *     in increasing old distance; a child whose parents are all dead or
   *     affected is affected, and its own children are decided in turn.
