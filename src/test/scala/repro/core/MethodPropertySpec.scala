@@ -7,9 +7,10 @@ import repro.graph.{GraphGens, LocalGraph}
 
 /** Differential properties of the search methods on random labeled graphs
   * (2-4 labels, k1 and k2 in 0..4, b in 0..3, feasible or not): Algorithm 2
-  * against a reference built from whole-graph k-core masks, Online-BCC,
-  * LP-BCC and fast and naive 2-label mBCC against one another, and the
-  * validity of L2P-BCC's answers.
+  * against a reference built from whole-graph k-core masks, Online-BCC
+  * against a plain whole-graph Algorithm 1, Online-BCC, LP-BCC and fast and
+  * naive 2-label mBCC against one another, and the validity of L2P-BCC's
+  * answers.
   */
 class MethodPropertySpec extends AnyFunSuite {
 
@@ -46,6 +47,58 @@ class MethodPropertySpec extends AnyFunSuite {
     Some((kept.map(g.ids), adj, kept.map(chi), kept.indexOf(ql), kept.indexOf(qr)))
   }
 
+  /** Algorithm 1 (Online-BCC) written plainly from the paper, on
+    * [[refFindG0]]'s G0: each round a BFS from each query over the alive
+    * vertices; stop once the queries are apart; the round's query distance
+    * is the largest over the alive vertices, and the alive set is the best
+    * snapshot while it is finite and smaller than every earlier one; delete
+    * every vertex at it (stop if a query is among them), re-peel each side
+    * to its k-core with `kCoreMask` (stop if a query goes) and recount the
+    * butterflies (stop once a side falls below b). Returns the best
+    * snapshot's ids, its query distance and the rounds run, and whether the
+    * queries fell apart.
+    */
+  private def refOnline(g: LocalGraph, qlId: Long, qrId: Long, p: BCCParams)
+      : (Option[(Set[Long], Int, Int)], Boolean) = {
+    val g0 = refFindG0(g, qlId, qrId, p).getOrElse(return (None, false))._1
+    val ql = g.indexOf(qlId)
+    val qr = g.indexOf(qrId)
+    val isLeft = GraphGens.labelMask(g, g.labels(ql))
+    val isRight = GraphGens.labelMask(g, g.labels(qr))
+    var alive = Array.tabulate(g.n)(v => g0.contains(g.ids(v)))
+    var best: Option[(Set[Long], Int)] = None
+    var rounds = 0
+    var apart = false
+    var go = true
+    while (go) {
+      rounds += 1
+      val dl = g.bfs(Seq(ql), alive)
+      val dr = g.bfs(Seq(qr), alive)
+      if (dl(qr) == LocalGraph.Inf) { apart = true; go = false }
+      else {
+        val verts = (0 until g.n).filter(alive)
+        val qd = verts.map(v => math.max(dl(v), dr(v))).max
+        if (qd != LocalGraph.Inf && best.forall(qd < _._2)) best = Some((verts.map(g.ids).toSet, qd))
+        val batch = verts.filter(v => math.max(dl(v), dr(v)) == qd)
+        if (batch.contains(ql) || batch.contains(qr)) go = false
+        else {
+          val rest = alive.clone()
+          batch.foreach(rest(_) = false)
+          val left = g.kCoreMask(p.k1, Array.tabulate(g.n)(v => rest(v) && isLeft(v)))
+          val right = g.kCoreMask(p.k2, Array.tabulate(g.n)(v => rest(v) && isRight(v)))
+          if (!left(ql) || !right(qr)) go = false
+          else {
+            alive = Array.tabulate(g.n)(v => left(v) || right(v))
+            val chi = g.butterflyDegrees(left, right)
+            def maxChi(side: Array[Boolean]): Long = (0 until g.n).filter(side).map(chi).max
+            if (maxChi(left) < p.b || maxChi(right) < p.b) go = false
+          }
+        }
+      }
+    }
+    (best.map { case (ids, qd) => (ids, qd, rounds) }, apart)
+  }
+
   test("property: findG0 equals the k-core mask and component reference") {
     GraphGens.check(forAllNoShrink(queryCase) { case (g, ql, qr, p) =>
       val got = LocalBCC.findG0(g, ql, qr, p).map { c =>
@@ -56,8 +109,12 @@ class MethodPropertySpec extends AnyFunSuite {
   }
 
   test("property: Online, LP and 2-label mBCC agree and every answer is a valid BCC") {
+    var apart = 0 // cases whose queries fall apart during refinement
     GraphGens.check(forAllNoShrink(queryCase) { case (g, ql, qr, p) =>
       val online = OnlineBCC.run(g, ql, qr, p, computeDiameter = false)
+      val (ref, refApart) = refOnline(g, ql, qr, p)
+      if (refApart) apart += 1
+      val got = online.map(r => (r.vertexIds, r.queryDistance, r.rounds))
       val lp = LPBCC.run(g, ql, qr, p, computeDiameter = false)
       val answers = Seq(
         "online" -> online.map(r => (r.vertexIds, r.queryDistance)),
@@ -68,9 +125,12 @@ class MethodPropertySpec extends AnyFunSuite {
         }
       val differ = answers.filter(_._2 != answers.head._2).map(_._1)
       val violations = online.toList.flatMap(r => Model.violations(g, r.vertexIds, ql, qr, p))
-      (differ.isEmpty && violations.isEmpty) :|
-        s"$p queries ($ql, $qr): ${answers.mkString("; ")} differ=$differ violations=$violations"
+      (got == ref && differ.isEmpty && violations.isEmpty) :|
+        s"$p queries ($ql, $qr): online $got reference $ref; ${answers.mkString("; ")} differ=$differ violations=$violations"
     }, cases = 1000)
+    // the state in which Online's loop stops on disconnected queries (6 of
+    // the 1000 cases from this seed)
+    assert(apart >= 5, s"the queries fell apart in only $apart cases")
   }
 
   test("property: every L2P-BCC answer is a valid BCC, small eta included") {
