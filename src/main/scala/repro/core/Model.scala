@@ -2,8 +2,12 @@ package repro.core
 
 import repro.graph.LocalGraph
 
-/** Parameters of a (k1, k2, b)-BCC query (paper Def. 4 / Problem 1). */
-final case class BCCParams(k1: Int, k2: Int, b: Int)
+/** Parameters of a (k1, k2, b)-BCC query (paper Def. 4 / Problem 1); none
+  * may be negative.
+  */
+final case class BCCParams(k1: Int, k2: Int, b: Int) {
+  require(k1 >= 0 && k2 >= 0 && b >= 0, s"BCC parameters must not be negative: $this")
+}
 
 /** A discovered butterfly-core community.
   *

@@ -21,7 +21,8 @@ object MultiBCC {
       rounds: Int)
 
   /** Algorithm 9. `queryIds` must carry pairwise distinct labels; `ks(i)`
-    * is the core requirement for the label of `queryIds(i)`.
+    * is the core requirement for the label of `queryIds(i)`. A negative
+    * `ks(i)` or `b` is an `IllegalArgumentException`.
     *
     * @param fast refine in LP-BCC's mode (Algorithm 5 distances, per-pair
     *             Algorithm 6/7 leaders, a pair recounted only when a leader
@@ -36,6 +37,7 @@ object MultiBCC {
       inst: Instrument = new Instrument,
       fast: Boolean = false): Option[MBCCResult] = inst.timeTotal {
     require(queryIds.length >= 2 && queryIds.length == ks.length, "mBCC needs m >= 2 queries")
+    require(ks.forall(_ >= 0) && b >= 0, s"mBCC parameters must not be negative: ks $ks, b $b")
     val qg = queryIds.map(id => g.indexOf.getOrElse(id, return None))
     val labs = qg.map(g.labels)
     if (labs.distinct.length != labs.length) return None

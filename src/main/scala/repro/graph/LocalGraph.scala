@@ -685,8 +685,8 @@ object LocalGraph {
   val Inf: Int = Int.MaxValue
 
   /** Build from external-id vertices and an undirected edge list.
-    * Self-loops are dropped; parallel edges are deduplicated; edges to
-    * unknown vertices are an error.
+    * Self-loops are dropped; parallel edges are deduplicated; an edge to an
+    * unknown vertex id is an `IllegalArgumentException` naming the id.
     */
   def apply(vertices: Seq[(Long, String)], rawEdges: Seq[(Long, Long)]): LocalGraph = {
     val ids = vertices.map(_._1).toArray
@@ -694,9 +694,11 @@ object LocalGraph {
     val labels = vertices.map(_._2).toArray
     val idx = ids.zipWithIndex.toMap
     val adjSets = Array.fill(ids.length)(mutable.SortedSet[Int]())
+    def at(id: Long): Int =
+      idx.getOrElse(id, throw new IllegalArgumentException(s"edge endpoint $id is not a vertex id"))
     for ((a, b) <- rawEdges if a != b) {
-      val u = idx.getOrElse(a, sys.error(s"edge endpoint $a not a vertex"))
-      val v = idx.getOrElse(b, sys.error(s"edge endpoint $b not a vertex"))
+      val u = at(a)
+      val v = at(b)
       adjSets(u) += v
       adjSets(v) += u
     }

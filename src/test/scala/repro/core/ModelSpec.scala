@@ -12,6 +12,12 @@ class ModelSpec extends AnyFunSuite {
   private val good = PaperGraphs.figure2Community
   private val p = BCCParams(4, 3, 1)
 
+  test("BCCParams rejects a negative k or b; all zeros are valid") {
+    for (bad <- Seq((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+      intercept[IllegalArgumentException](BCCParams(bad._1, bad._2, bad._3))
+    assert(BCCParams(0, 0, 0).b == 0)
+  }
+
   test("the published community validates cleanly") {
     assert(Model.violations(g, good, ql, qr, p).isEmpty)
   }

@@ -55,6 +55,12 @@ class MultiBCCSpec extends AnyFunSuite {
       }
   }
 
+  test("run rejects a negative k or b") {
+    val g = LocalGraph(Seq((0L, "A"), (1L, "B")), Seq((0L, 1L)))
+    intercept[IllegalArgumentException](MultiBCC.run(g, Seq(0L, 1L), Seq(1, -1), 0))
+    intercept[IllegalArgumentException](MultiBCC.run(g, Seq(0L, 1L), Seq(0, 0), -1))
+  }
+
   test("m=2 mBCC agrees with the 2-label BCC search") {
     val queries = QueryGen.queriesM(planted, 2, n = 6, seed = 3)
     var agreed = 0

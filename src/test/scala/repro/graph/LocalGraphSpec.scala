@@ -25,9 +25,10 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("builder rejects unknown endpoints") {
-    intercept[RuntimeException] {
+    val e = intercept[IllegalArgumentException] {
       LocalGraph(Seq((1L, "A")), Seq((1L, 9L)))
     }
+    assert(e.getMessage.contains("9"), e.getMessage)
   }
 
   test("builder rejects duplicate vertex ids") {
