@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{FastDist, Refine}
+import repro.core.Refine
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
@@ -20,12 +20,12 @@ import repro.graph.LocalGraph
   * deletion: supports start from the graph's per-k support memo, a deleted
   * vertex costs each live triangle through it one support on the opposite
   * edge, and an edge whose support drops below k-2 dies and costs its live
-  * triangles the same. Query distances after the first round come from the
-  * decremental Algorithm 5 update that LP-BCC uses ([[repro.core.FastDist]]).
+  * triangles the same. The rounds are the BCC methods' greedy loop
+  * ([[repro.core.Refine.Rounds]]) with this maintenance as its step, and
+  * query distances after the first round come from the decremental
+  * Algorithm 5 update that LP-BCC uses ([[repro.core.FastDist]]).
   */
 object CTC {
-
-  private val Inf = LocalGraph.Inf
 
   /** Full CTC search; returns the discovered community's external ids.
     * `trussCache` is unused (the graph caches its own truss decomposition,
@@ -45,20 +45,14 @@ object CTC {
   }
 
   /** One search, in arrays over the graph's vertices and edge ids that every
-    * round reuses; the per-round BFS and truss maintenance touch only the
-    * current component.
+    * round reuses; the component search and the truss maintenance touch only
+    * the current component.
     */
   private final class Search(g: LocalGraph, queries: Seq[Int]) {
     private val t = g.trussIndex
     private val n = g.n
-    private val isQuery = new Array[Boolean](n)
     /** The distinct queries, the first query first. */
-    private val qs: Array[Int] = {
-      val out = new Array[Int](queries.size)
-      var c = 0
-      for (q <- queries if !isQuery(q)) { isQuery(q) = true; out(c) = q; c += 1 }
-      java.util.Arrays.copyOf(out, c)
-    }
+    private val qs: Array[Int] = queries.distinct.toArray
     private var k = 0
     /** Support of each live edge in the current k-truss, -1 for a dead
       * edge: the graph's shared per-k memo until [[refine]] copies it.
@@ -67,7 +61,7 @@ object CTC {
     private val alive = new Array[Boolean](n) // the current component
     private var comp = new Array[Int](n) // its vertices
     private var size = 0
-    private var next = new Array[Int](n) // the next component, or a BFS queue
+    private var next = new Array[Int](n) // the next component
     private val reached = new Array[Boolean](n) // marks `next` while it is built
     private val nbrs = new Array[Int](n) // a deleted vertex's live neighbours
     private val marked = new Array[Boolean](n) // marks `nbrs`
@@ -108,35 +102,13 @@ object CTC {
       ok
     }
 
-    /** The greedy bulk deletion from the start, with the best snapshot. */
+    /** The greedy bulk deletion from the start: the best snapshot. The
+      * start is connected, so the first round's distance is finite.
+      */
     def refine(inst: Instrument): Option[Set[Long]] = {
       sup = sup.clone()
-      val dists = Array.fill(qs.length)(new Array[Int](n))
-      val fastDist = new FastDist(g)
-      val rounds = new Refine.Rounds(alive)
-      var removed: Array[Int] = null // the vertices the last round removed
-      var go = true
-      while (go) {
-        inst.rounds += 1
-        var i = 0
-        while (i < qs.length) {
-          if (removed == null) distances(qs(i), dists(i)) else fastDist.update(alive, dists(i), removed)
-          i += 1
-        }
-        val batch = rounds.next(dists)
-        if (holdsQuery(batch)) go = false
-        else {
-          removed = delete(batch)
-          if (removed == null) go = false else rounds.deleted(removed)
-        }
-      }
-      // the start is connected, so the first round has a finite distance
-      rounds.best.map { mask =>
-        val ids = Set.newBuilder[Long]
-        var v = 0
-        while (v < n) { if (mask(v)) ids += g.ids(v); v += 1 }
-        ids.result()
-      }
+      val rounds = new Refine.Rounds(g, alive, qs, incremental = true, inst)
+      rounds.run(delete).map(rounds.ids)
     }
 
     /** The first query's component over the live edges, into `next` and
@@ -172,36 +144,6 @@ object CTC {
     private def unmark(tail: Int): Unit = {
       var i = 0
       while (i < tail) { reached(next(i)) = false; i += 1 }
-    }
-
-    private def holdsQuery(vs: Array[Int]): Boolean = {
-      var i = 0
-      while (i < vs.length && !isQuery(vs(i))) i += 1
-      i < vs.length
-    }
-
-    /** BFS distances from `q` over the current component (vertex-induced);
-      * only the component's entries of `dist` are reset and written.
-      */
-    private def distances(q: Int, dist: Array[Int]): Unit = {
-      var i = 0
-      while (i < size) { dist(comp(i)) = Inf; i += 1 }
-      dist(q) = 0
-      next(0) = q
-      var head = 0
-      var tail = 1
-      while (head < tail) {
-        val u = next(head)
-        head += 1
-        val du = dist(u)
-        val ns = g.neighbors(u)
-        var j = 0
-        while (j < ns.length) {
-          val w = ns(j)
-          if (alive(w) && dist(w) == Inf) { dist(w) = du + 1; next(tail) = w; tail += 1 }
-          j += 1
-        }
-      }
     }
 
     /** Delete `batch`, restore the k-truss and keep the first query's

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.Refine
+import repro.core.{BCCEngine, Refine}
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
@@ -11,7 +11,9 @@ import repro.graph.LocalGraph
   * progressive expansion: grow a candidate around the queries in BFS order
   * (restricted to vertices whose global coreness can support k), doubling
   * the candidate size until it contains a connected k-core with the
-  * queries; then shrink it with the same farthest-vertex greedy peeling.
+  * queries; then shrink it with the BCC methods' farthest-vertex greedy
+  * peeling ([[repro.core.Refine.Rounds]], a full BFS per round) and their
+  * Algorithm 4 cascade ([[repro.core.BCCEngine.cascade]]) over one group.
   *
   * The work follows the explored ball: the BFS stops after the layer that
   * fills the current candidate size, and each doubling step and the shrink
@@ -44,72 +46,20 @@ object PSA {
     }
     if (found == null) return None
 
-    // shrink: greedy farthest-vertex peeling with k-core maintenance
+    // shrink: the greedy farthest-vertex peeling, with the Algorithm 4
+    // cascade over one group as its k-core maintenance
     val sub = g.inducedOn(found)
     val lq = qs.map(java.util.Arrays.binarySearch(found, _)).toArray
     val isQuery = new Array[Boolean](sub.n)
     lq.foreach(isQuery(_) = true)
     val alive = Array.fill(sub.n)(true)
     val deg = Array.tabulate(sub.n)(sub.degree)
-    val rounds = new Refine.Rounds(alive)
-    var go = true
-    while (go) {
-      inst.rounds += 1
-      val batch = rounds.next(lq.map(q => sub.bfs(Seq(q), alive)))
-      if (batch.exists(isQuery)) go = false
-      else cascade(sub, alive, deg, kk, isQuery, batch) match {
-        case null    => go = false
-        case removed => rounds.deleted(removed)
-      }
-    }
+    val group = new Array[Int](sub.n)
+    val ks = Array(kk)
+    val rounds = new Refine.Rounds(sub, alive, lq, incremental = false, inst)
     // the start is connected, so the first round's distances are finite and
     // there is a best snapshot
-    rounds.best.map(mask => (0 until sub.n).filter(mask).map(sub.ids).toSet)
-  }
-
-  /** Delete `seeds`, then every alive vertex whose alive degree `deg`
-    * drops below k; returns the removed vertices, or null as soon as a
-    * query vertex would go. The label-blind twin of `BCCEngine.cascade`,
-    * kept apart so that the BCC methods' cascade keeps its own call sites.
-    */
-  private def cascade(
-      g: LocalGraph,
-      alive: Array[Boolean],
-      deg: Array[Int],
-      k: Int,
-      isQuery: Array[Boolean],
-      seeds: Array[Int]): Array[Int] = {
-    // FIFO queue; a vertex re-enters each time its degree drops while below k
-    var queue = java.util.Arrays.copyOf(seeds, math.max(16, 2 * seeds.length))
-    var head = 0
-    var tail = seeds.length
-    var nRemoved = 0
-    val removed = new Array[Int](g.n)
-    while (head < tail) {
-      val v = queue(head)
-      head += 1
-      if (alive(v)) {
-        if (isQuery(v)) return null
-        alive(v) = false
-        removed(nRemoved) = v
-        nRemoved += 1
-        val ns = g.neighbors(v)
-        var j = 0
-        while (j < ns.length) {
-          val u = ns(j)
-          if (alive(u)) {
-            deg(u) -= 1
-            if (deg(u) < k) {
-              if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
-              queue(tail) = u
-              tail += 1
-            }
-          }
-          j += 1
-        }
-      }
-    }
-    java.util.Arrays.copyOf(removed, nRemoved)
+    rounds.run(BCCEngine.cascade(sub, alive, deg, group, ks, isQuery, _, _ => ()).orNull).map(rounds.ids)
   }
 
   /** The vertices (ascending) of the component holding every query in the

@@ -194,15 +194,12 @@ object L2PBCC {
     while (result.isEmpty && attempts < 3) {
       attempts += 1
       val cand = g.inducedOn(expand(g, path, lLab, rLab, index, curEta))
-      result = LocalBCC.findG0(cand, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
+      result = Refine.search(cand, qlId, qrId, params, Refine.FastLP, inst, computeDiameter)
       curEta *= 4
     }
     // last resort: whole-graph LP-BCC (keeps quality comparable when the
-    // local neighborhood cannot support the requested cores)
-    result.orElse {
-      LocalBCC.findG0(g, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
-    }
+    // local neighborhood cannot support the requested cores); not through
+    // LPBCC.run, whose own timer would count this call's time twice
+    result.orElse(Refine.search(g, qlId, qrId, params, Refine.FastLP, inst, computeDiameter))
   }
 }

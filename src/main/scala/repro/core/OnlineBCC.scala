@@ -16,10 +16,7 @@ object OnlineBCC {
       params: BCCParams,
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
-    inst.timeTotal {
-      LocalBCC.findG0(g, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.Naive, inst, computeDiameter))
-    }
+    inst.timeTotal(Refine.search(g, qlId, qrId, params, Refine.Naive, inst, computeDiameter))
 }
 
 /** Algorithm 1 with the fast strategies of Section 6 (the paper's LP-BCC):
@@ -35,8 +32,5 @@ object LPBCC {
       params: BCCParams,
       inst: Instrument = new Instrument,
       computeDiameter: Boolean = true): Option[BCCResult] =
-    inst.timeTotal {
-      LocalBCC.findG0(g, qlId, qrId, params, inst)
-        .flatMap(Refine.fromCandidate(_, params, Refine.FastLP, inst, computeDiameter))
-    }
+    inst.timeTotal(Refine.search(g, qlId, qrId, params, Refine.FastLP, inst, computeDiameter))
 }

@@ -3,17 +3,15 @@ package repro.core
 import repro.eval.Instrument
 import repro.graph.LocalGraph
 
-/** The greedy refinement loop of Algorithm 1 with bulk deletion over m >= 2
-  * label groups, shared by Online-BCC (naive mode: full BFS + a recount of
-  * every label pair the stop test consults, every round), LP-BCC (fast mode:
-  * Algorithm 5 incremental distances + Algorithm 6/7 leader-pair tracking)
-  * and mBCC (Algorithm 9, in either mode). All methods in the paper use bulk
-  * deletion: every vertex at the current maximum query distance is removed
-  * per round.
-  *
-  * The loop snapshots each intermediate graph that is a *connected* valid
-  * BCC and finally returns the snapshot with minimum query distance — the
-  * 2-approximation argument of Theorem 3.
+/** The greedy refinement of Algorithm 1 with bulk deletion over m >= 2
+  * label groups, shared by Online-BCC (naive mode: a full BFS and a recount
+  * of every label pair the stop test consults, every round), LP-BCC (fast
+  * mode: Algorithm 5 distances and Algorithm 6/7 leader-pair tracking) and
+  * mBCC (Algorithm 9, in either mode). Each round deletes every vertex at
+  * the current largest query distance, through the Algorithm 4 cascade, and
+  * the answer is the snapshot with the smallest query distance, the
+  * 2-approximation argument of Theorem 3. The round loop itself is
+  * [[Refine.Rounds]], which CTC and PSA run with their own maintenance step.
   */
 object Refine {
 
@@ -24,6 +22,11 @@ object Refine {
   case object FastLP extends Mode
 
   private val Inf = LocalGraph.Inf
+
+  /** Algorithm 2 on `g` ([[LocalBCC.findG0]]), then the loop on its candidate. */
+  def search(g: LocalGraph, qlId: Long, qrId: Long, params: BCCParams, mode: Mode, inst: Instrument,
+      computeDiameter: Boolean): Option[BCCResult] =
+    LocalBCC.findG0(g, qlId, qrId, params, inst).flatMap(fromCandidate(_, params, mode, inst, computeDiameter))
 
   /** Run the loop on a fresh engine over candidate `c`, seeded with its count. */
   def fromCandidate(
@@ -49,20 +52,12 @@ object Refine {
     val inst = e.inst
     val fast = mode == FastLP
     val pairs = e.pairs
-    var lastDeleted: Array[Int] = null // null only before the first round
-    // each query's distances: a BFS, or Algorithm 5 after a round in LP mode
-    val dists = new Array[Array[Int]](e.m)
-    val fastDist = new FastDist(g)
-    def updateDists(): Unit = inst.timeQueryDist {
-      for (i <- 0 until e.m)
-        if (fast && lastDeleted != null) fastDist.update(e.alive, dists(i), lastDeleted)
-        else dists(i) = g.bfs(Seq(e.queries(i)), e.alive)
-    }
-    updateDists()
+    // each query's distances: a BFS every round, or Algorithm 5 in LP mode
+    val rounds = new Rounds(g, e.alive, e.queries, fast, inst)
 
     // Algorithm 6 on both sides of pair p, each from its own query's distances
     def identify(p: Int): Unit =
-      for (s <- 0 to 1) pairs(p).leaders(s) = LeaderPair.identify(e, p, s, dists(pairs(p).groups(s)))
+      for (s <- 0 to 1) pairs(p).leaders(s) = LeaderPair.identify(e, p, s, rounds.dists(pairs(p).groups(s)))
     if (fast) {
       if (!e.chiInitialized) e.fullButterflyCount() // Algorithm 2 usually seeds this
       for (p <- pairs.indices if pairs(p).valid) identify(p)
@@ -82,7 +77,7 @@ object Refine {
 
     // Does pair p still reach b on both sides? Online recounts it; LP trusts
     // its leaders while both are alive and >= b, and otherwise recounts and
-    // re-identifies them
+    // re-identifies them (from the distances before this round's deletion)
     def pairOk(p: Int): Boolean = {
       val pr = pairs(p)
       def leaderOk(l: Int): Boolean = e.alive(l) && pr.chi(l) >= e.b
@@ -109,45 +104,37 @@ object Refine {
     }
     if (!metaConnected(pairs(_).valid)) return None
 
-    val rounds = new Rounds(e.alive)
-    var go = true
-
-    while (go) {
-      inst.rounds += 1
-      if (lastDeleted != null) updateDists()
-
-      if (dists(0)(e.queries(e.m - 1)) == Inf) go = false // Q disconnected: no further BCC
-      else {
-        val batch = rounds.next(dists)
-        if (batch.exists(e.isQuery(_))) go = false
-        else e.deleteCascade(batch, hook) match {
-          case None => go = false // a query vertex was peeled
-          case Some(removed) =>
-            rounds.deleted(removed)
-            lastDeleted = removed
-            if (!metaConnected(pairOk)) go = false
-        }
+    rounds.run { batch =>
+      e.deleteCascade(batch, hook) match {
+        case Some(removed) if metaConnected(pairOk) => removed
+        case _ => null // a query vertex was peeled, or the meta-graph fell apart
       }
-    }
-
-    rounds.best.map { mask =>
-      val ids = (0 until g.n).iterator.filter(mask).map(g.ids).toSet
+    }.map { mask =>
       val diam = if (computeDiameter) g.diameter(mask) else -1
-      BCCResult(ids, e.labels(0), e.labels(1), rounds.bestQd, diam, inst.rounds)
+      BCCResult(rounds.ids(mask), e.labels(0), e.labels(1), rounds.bestQd, diam, inst.rounds)
     }
   }
 
-  /** The per-round bookkeeping of bulk deletion, shared with CTC and PSA:
-    * each round's batch (the alive vertices at the largest query distance,
-    * Def. 5) from one pass, and a deletion log from which the best snapshot
-    * (the graph at the start of the round with the smallest finite query
-    * distance) is rebuilt once at the end.
+  /** The greedy bulk-deletion loop of Algorithm 1, the one loop of the BCC
+    * methods, CTC and PSA. Each round deletes every alive vertex at the
+    * largest query distance (Def. 5) through the caller's maintenance step;
+    * the answer is the snapshot (the graph at the start of a round) with the
+    * smallest finite query distance, rebuilt once at the end from the round
+    * each vertex was deleted in (Theorem 3).
     *
-    * @param alive the live mask the caller deletes from (read, not written)
+    * @param alive       the live mask the caller's step deletes from (read,
+    *                    not written, here)
+    * @param queries     the query vertices, alive throughout
+    * @param incremental after a round, update the distances by Algorithm 5
+    *                    ([[FastDist]]) instead of a BFS
     */
-  private[repro] final class Rounds(alive: Array[Boolean]) {
+  private[repro] final class Rounds(g: LocalGraph, alive: Array[Boolean], queries: Array[Int],
+      incremental: Boolean, inst: Instrument) {
     private val n = alive.length
-    private val batch = new Array[Int](n)
+    private val fastDist = if (incremental) new FastDist(g) else null
+    /** Each query's distances over `alive`, up to date at the start of every round. */
+    val dists: Array[Array[Int]] = new Array[Array[Int]](queries.length)
+    inst.timeQueryDist(bfs())
     // round in which each vertex was deleted: MaxValue while alive, -1 if
     // dead from the start
     private val deletedIn = new Array[Int](n)
@@ -155,43 +142,32 @@ object Refine {
       var v = 0
       while (v < n) { deletedIn(v) = if (alive(v)) Int.MaxValue else -1; v += 1 }
     }
+    private var batch = new Array[Int](16) // the current round's, in its first `size` entries
+    private var size = 0
     private var round = 0
     private var bestRound = -1
     var bestQd: Int = Inf
 
-    /** Start a round: the vertices to delete, given each query's distances
-      * (a vertex's query distance is its max over `dists`, Inf-aware).
+    /** Run rounds until the batch holds a query or `step` returns null.
+      * `step(batch)` deletes the batch from `alive`, restores the caller's
+      * structure and returns every vertex it removed, or null to stop (its
+      * removals are then not logged: they were alive at the start of this
+      * round and of every earlier one). Returns the best snapshot's mask, if
+      * any round had a finite query distance.
       */
-    def next(dists: Array[Array[Int]]): Array[Int] = {
-      round += 1
-      var maxQd = 0
-      var size = 0
-      var v = 0
-      while (v < n) {
-        if (alive(v)) {
-          var qd = 0
+    def run(step: Array[Int] => Array[Int]): Option[Array[Boolean]] = {
+      var go = true
+      while (go) {
+        inst.rounds += 1
+        val qd = next()
+        val removed = if (holdsQuery(qd)) null else step(java.util.Arrays.copyOf(batch, size))
+        if (removed == null) go = false
+        else {
           var i = 0
-          while (i < dists.length) { qd = math.max(qd, dists(i)(v)); i += 1 }
-          if (qd > maxQd) { maxQd = qd; size = 0 }
-          if (qd == maxQd) { batch(size) = v; size += 1 }
+          while (i < removed.length) { deletedIn(removed(i)) = round; i += 1 }
+          inst.timeQueryDist(update(removed))
         }
-        v += 1
       }
-      if (maxQd != Inf && maxQd < bestQd) { bestQd = maxQd; bestRound = round }
-      java.util.Arrays.copyOf(batch, size)
-    }
-
-    /** Log the vertices removed in the current round. */
-    def deleted(removed: Array[Int]): Unit = {
-      var i = 0
-      while (i < removed.length) { deletedIn(removed(i)) = round; i += 1 }
-    }
-
-    /** Mask of the best snapshot, if any round had a finite query distance.
-      * Vertices removed by a cascade that was then abandoned stay unlogged:
-      * they were alive at the start of that round and of every earlier one.
-      */
-    def best: Option[Array[Boolean]] =
       if (bestRound < 0) None
       else {
         val mask = new Array[Boolean](n)
@@ -199,5 +175,66 @@ object Refine {
         while (v < n) { mask(v) = deletedIn(v) >= bestRound; v += 1 }
         Some(mask)
       }
+    }
+
+    /** External ids of the vertices in `mask`. */
+    def ids(mask: Array[Boolean]): Set[Long] = {
+      val out = Set.newBuilder[Long]
+      var v = 0
+      while (v < n) { if (mask(v)) out += g.ids(v); v += 1 }
+      out.result()
+    }
+
+    private def bfs(): Unit = {
+      var i = 0
+      while (i < queries.length) { dists(i) = g.bfs(Seq(queries(i)), alive); i += 1 }
+    }
+
+    /** Bring `dists` up to date after `removed` left `alive`. */
+    private def update(removed: Array[Int]): Unit =
+      if (!incremental) bfs()
+      else { var i = 0; while (i < dists.length) { fastDist.update(alive, dists(i), removed); i += 1 } }
+
+    /** v's query distance: its largest distance to a query (Inf-aware). */
+    private def qdOf(v: Int): Int = {
+      var qd = 0
+      var i = 0
+      while (i < dists.length) { qd = math.max(qd, dists(i)(v)); i += 1 }
+      qd
+    }
+
+    /** Start a round: put the alive vertices at the largest query distance
+      * in `batch` and return that distance.
+      */
+    private def next(): Int = {
+      round += 1
+      var maxQd = 0
+      size = 0
+      var v = 0
+      while (v < n) {
+        if (alive(v)) {
+          val qd = qdOf(v)
+          if (qd > maxQd) { maxQd = qd; size = 0 }
+          if (qd == maxQd) {
+            if (size == batch.length) batch = java.util.Arrays.copyOf(batch, 2 * size)
+            batch(size) = v
+            size += 1
+          }
+        }
+        v += 1
+      }
+      if (maxQd != Inf && maxQd < bestQd) { bestQd = maxQd; bestRound = round }
+      maxQd
+    }
+
+    /** Some query is at query distance `qd`, so in the batch. When two
+      * queries are apart, every vertex is at Inf from one of them, so the
+      * batch is every alive vertex, queries included.
+      */
+    private def holdsQuery(qd: Int): Boolean = {
+      var i = 0
+      while (i < queries.length && qdOf(queries(i)) != qd) i += 1
+      i < queries.length
+    }
   }
 }
